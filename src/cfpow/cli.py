@@ -24,7 +24,7 @@ from .bounds import theorem_ham2_bound, theorem_ham_bound, theorem_y_bound
 from .cfrac import binet_data, convergents, expand
 from .errors import InapplicableError, InputError, ToolkitError
 from .numeration import ostrowski_encode, radix_encode, zeckendorf_encode
-from .quadfield import DEFAULT_PRECISION, make_quadnum
+from .quadfield import DEFAULT_PRECISION, decimal_to_fraction, make_quadnum
 from .search import SearchRange, Solution, enumerate_solutions, filter_by_weight, verify_bounds
 
 __all__ = ["main", "build_parser"]
@@ -153,10 +153,10 @@ class _ReportView:
 
     def __init__(self, doc: dict):
         try:
-            self.n1_bound = _BoundView(Fraction(doc["n1_bound"]))
-            self.a_bound = _BoundView(Fraction(doc["a_bound"]))
-            self.log_ya_bound = _BoundView(Fraction(doc["log_ya_bound"]))
-        except (KeyError, ValueError) as exc:
+            self.n1_bound = _BoundView(decimal_to_fraction(doc["n1_bound"]))
+            self.a_bound = _BoundView(decimal_to_fraction(doc["a_bound"]))
+            self.log_ya_bound = _BoundView(decimal_to_fraction(doc["log_ya_bound"]))
+        except (KeyError, TypeError, InputError) as exc:
             raise InputError(f"malformed report file: {exc}") from None
 
 

@@ -10,6 +10,7 @@ transcendental quantities (logarithms, e) enter the toolkit.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -24,6 +25,7 @@ __all__ = [
     "make_quadnum",
     "squarefree_split",
     "dyadic_decimal_str",
+    "decimal_to_fraction",
 ]
 
 DEFAULT_PRECISION = 128
@@ -359,11 +361,28 @@ def dyadic_decimal_str(x: Fraction) -> str:
         raise InputError(f"not dyadic: {x}")
     k = x.denominator.bit_length() - 1
     if k == 0:
-        return str(x.numerator)
+        return _int_decimal_str(x.numerator)
     scaled = x.numerator * 5**k
     sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(k + 1, "0")
+    digits = _int_decimal_str(abs(scaled)).rjust(k + 1, "0")
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
+
+
+def _int_decimal_str(n: int) -> str:
+    # str(int) is capped by sys.get_int_max_str_digits(); Decimal is not
+    return format(Decimal(n), "f")
+
+
+def decimal_to_fraction(text) -> Fraction:
+    """Exact value of a finite decimal such as ``dyadic_decimal_str`` writes.
+
+    Parses through Decimal, so the int-to-str digit cap does not apply.
+    Raises InputError for anything that is not a finite number.
+    """
+    try:
+        return Fraction(Decimal(text))
+    except (TypeError, ValueError, ArithmeticError):
+        raise InputError(f"not a finite decimal: {text!r}") from None
 
 
 def _fraction_to_raw(x: Fraction):
@@ -602,6 +621,8 @@ def _int_nthroot(m: int, n: int) -> int:
         return 0
     if n == 1:
         return m
+    if n == 2:
+        return isqrt(m)
     x = 1 << (-(-m.bit_length() // n))  # >= true root
     while True:
         y = ((n - 1) * x + m // x ** (n - 1)) // n

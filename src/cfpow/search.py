@@ -2,12 +2,25 @@
 convergent denominators, plus the empirical cross-check of bound reports.
 
 The tuple space is every weakly decreasing K-tuple (N_1, ..., N_K) with
-N_1 <= N_max, walked in ascending lexicographic order.  Each sum is tested
-for every exponent split y^a with 2 <= a <= a_max, not just the maximal
-exponent, so one tuple can yield several solutions (16 = 4^2 = 2^4).
-Partitions by N_1 are independent, which is what the process pool exploits;
-the merge concatenates partitions in N_1 order, so output order never
-depends on the worker count.
+N_1 <= N_max, walked in ascending lexicographic order with the sum carried
+along.  Each sum is tested for every exponent split y^a with
+2 <= a <= a_max, not just the maximal exponent, so one tuple can yield
+several solutions (16 = 4^2 = 2^4).
+
+Only prime exponents are tested, up to a_max and the bit length of the
+largest sum (Bernstein, "Detecting perfect powers in essentially linear
+time", Math. Comp. 67, 1998).  A sum first meets residue tables: modulo
+64, 63, 65 and 11 for squares and modulo small primes l = 1 (mod p) for
+odd p (Cohen, GTM 138, section 1.7), each entry the bitmask of primes p
+for which the residue can still be a p-th power.  Most sums leave no bit
+set and cost a few small-int operations.  Every surviving p gets an exact
+integer root, which yields n = z^e with e maximal, and the splits are
+(z^(e/a), a) for each a dividing e.  The tables only rule out what
+provably is not a power, so the result is that of one root per exponent.
+
+Partitions by N_1 are independent, which is what the process pool
+exploits; the merge concatenates partitions in N_1 order, so output order
+never depends on the worker count.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from .bounds import BoundReport
 from .cfrac import BinetData, ContinuedFraction, convergents
 from .errors import BudgetExceededError, InputError
 from .numeration import radix_encode, zeckendorf_encode
-from .quadfield import DEFAULT_PRECISION, DyadicInterval
+from .quadfield import DEFAULT_PRECISION, DyadicInterval, _int_nthroot
 
 __all__ = [
     "Solution",
@@ -73,21 +86,122 @@ class SearchRange:
             raise InputError("search range parameters must be positive")
 
 
-def _int_nthroot(n: int, k: int) -> int:
-    """floor(n^(1/k)) by integer Newton iteration from an upper seed."""
-    if n < 0 or k < 1:
-        raise InputError("nth root needs n >= 0 and k >= 1")
-    if k == 1 or n < 2:
-        return n
-    if k == 2:
-        return isqrt(n)
-    # 2^ceil(bitlen/k) >= n^(1/k), and the iteration decreases monotonically
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
+# Moduli with few square residues (Cohen, GTM 138, section 1.7.2).  An odd
+# prime p gets primes l = 1 (mod p) instead: mod such an l, a non-p-th
+# power passes with probability about 1/p, so p takes moduli until a
+# non-p-th power passes all of them with probability below 1/_REJECT.
+_SQUARE_MODULI = (64, 63, 65, 11)
+_REJECT = 1024
+
+
+def _primes_upto(n: int) -> list[int]:
+    if n < 2:
+        return []
+    flags = bytearray([1]) * (n + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(n + 1) if flags[p]]
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _moduli(p: int) -> list[int]:
+    if p == 2:
+        return list(_SQUARE_MODULI)
+    found = []
+    ell = 1
+    while p ** len(found) < _REJECT:
+        ell += 2 * p
+        if _is_prime(ell):
+            found.append(ell)
+    return found
+
+
+def _primitive_root(ell: int) -> int:
+    """The least generator of the units modulo the prime ell."""
+    divisors = [q for q in _primes_upto(ell - 1) if (ell - 1) % q == 0]
+    return next(g for g in range(2, ell) if all(pow(g, (ell - 1) // q, ell) != 1 for q in divisors))
+
+
+def _residue_table(m: int, users, full: int) -> list[int]:
+    """Entry r: ``full`` minus the bit of each (p, bit) in ``users`` for
+    which r is not a p-th power residue mod m."""
+    table = [full & ~sum(bit for _, bit in users)] * m
+    if _is_prime(m):
+        # every p here divides m - 1, and g^j is a p-th power iff p | j
+        g = _primitive_root(m)
+        powers = [1] * (m - 1)
+        for j in range(1, m - 1):
+            powers[j] = powers[j - 1] * g % m
+        table[0] = full
+        for p, bit in users:
+            for r in powers[::p]:
+                table[r] |= bit
+    else:
+        for p, bit in users:
+            for r in {pow(x, p, m) for x in range(m)}:
+                table[r] |= bit
+    return table
+
+
+class _ExponentSieve:
+    """The prime exponents up to a cap, and residue tables that rule them out.
+
+    ``tables`` holds (m, table) pairs.  Bit i of ``table[r]`` is clear only
+    when no integer congruent to r mod m is a ``primes[i]``-th power, so
+    the AND of the entries for n's residues keeps every prime p for which
+    n is a p-th power.  A modulus tests the primes that listed it, and a
+    prime modulus l also every prime dividing l - 1; the tables are sorted
+    most selective first, so a non-power is usually out after a few.
+    """
+
+    def __init__(self, cap: int):
+        self.primes = _primes_upto(cap)
+        self.full = (1 << len(self.primes)) - 1
+        users: dict[int, set[int]] = {}
+        for i, p in enumerate(self.primes):
+            for m in _moduli(p):
+                users.setdefault(m, set()).add(i)
+        self.tables = []
+        for m, indices in users.items():
+            if _is_prime(m):
+                indices.update(i for i, p in enumerate(self.primes) if (m - 1) % p == 0)
+            pairs = [(self.primes[i], 1 << i) for i in indices]
+            self.tables.append((m, _residue_table(m, pairs, self.full)))
+        self.tables.sort(key=lambda mt: sum(map(int.bit_count, mt[1])) / mt[0])
+
+    def survivors(self, mask: int) -> list[int]:
+        return [p for i, p in enumerate(self.primes) if mask >> i & 1]
+
+
+def _splits(n: int, primes, a_max: int | None) -> tuple[tuple[int, int], ...]:
+    """Every (y, a) with y^a = n and 2 <= a (<= a_max), ascending in a.
+
+    ``primes`` (ascending) must contain every prime p <= a_max for which n
+    is a p-th power.  Exact roots over them give n = z^e with e maximal
+    among such products, and the splits are (z^(e/a), a) for a dividing e.
+    """
+    z, e = n, 1
+    for p in primes:
+        while p < z.bit_length():  # z >= 2^p, so a p-th root >= 2 may exist
+            y = _int_nthroot(z, p)
+            if y**p != z:
+                break
+            z, e = y, e * p
+    top = e if a_max is None else min(e, a_max)
+    return tuple((z ** (e // a), a) for a in range(2, top + 1) if e % a == 0)
+
+
+def power_splits(n: int, a_max: int | None = None) -> tuple[tuple[int, int], ...]:
+    """Every (y, a) with y^a = n and 2 <= a (<= a_max), ascending in a."""
+    if n < 4:
+        return ()
+    cap = n.bit_length() if a_max is None else min(a_max, n.bit_length())
+    return _splits(n, _primes_upto(cap), cap)
 
 
 def is_perfect_power(n: int):
@@ -95,49 +209,62 @@ def is_perfect_power(n: int):
 
     Values below 2 cannot be written with y >= 2, so they map to None.
     """
-    if n < 4:
-        return None
-    for a in range(n.bit_length(), 1, -1):
-        y = _int_nthroot(n, a)
-        if y >= 2 and y**a == n:
-            return (y, a)
-    return None
+    splits = power_splits(n)
+    return splits[-1] if splits else None
 
 
-def power_splits(n: int, a_max: int | None = None) -> tuple[tuple[int, int], ...]:
-    """Every (y, a) with y^a = n and 2 <= a (<= a_max), ascending in a."""
-    if n < 4:
-        return ()
-    top = n.bit_length()
-    if a_max is not None:
-        top = min(top, a_max)
-    out = []
-    for a in range(2, top + 1):
-        y = _int_nthroot(n, a)
-        if y >= 2 and y**a == n:
-            out.append((y, a))
-    return tuple(out)
-
-
-def _tails(bound: int, k: int):
-    """Weakly decreasing k-tuples over [0, bound], ascending lexicographic."""
+def _tails(qs, bound: int, k: int, total: int, prefix: tuple[int, ...]):
+    """(sum, indices) for prefix extended by every weakly decreasing k-tuple
+    over [0, bound], ascending lexicographic; ``total`` is prefix's sum."""
     if k == 0:
-        yield ()
+        yield total, prefix
         return
-    for head in range(bound + 1):
-        for rest in _tails(head, k - 1):
-            yield (head, *rest)
+    for i in range(bound + 1):
+        yield from _tails(qs, i, k - 1, total + qs[i], (*prefix, i))
 
 
-def _search_partition(args) -> list[Solution]:
-    qs, k, n1, a_max = args
-    found = []
-    base = qs[n1]
-    for tail in _tails(n1, k - 1):
-        total = base + sum(qs[i] for i in tail)
-        for y, a in power_splits(total, a_max):
-            found.append(Solution(y, a, (n1, *tail), total))
-    return found
+class _Kernel:
+    """What every partition of one search range shares: q's and the sieve."""
+
+    def __init__(self, qs, K: int, a_max: int):
+        self.qs, self.K, self.a_max = qs, K, a_max
+        # no exponent above the bit length of the largest sum can split it
+        self.sieve = _ExponentSieve(min(a_max, (K * max(qs)).bit_length()))
+
+    def partition(self, n1: int) -> list[Solution]:
+        """Solutions whose leading index is n1, in search order."""
+        qs, sieve = self.qs, self.sieve
+        tables, full = sieve.tables, sieve.full
+        found: list[Solution] = []
+        if not full:
+            return found
+        # _tails walks all indices but the last; the last is the hot loop,
+        # where a tuple the tables reject costs no tuple and no yield
+        stems = _tails(qs, n1, self.K - 2, qs[n1], (n1,)) if self.K > 1 else [(0, ())]
+        for base, stem in stems:
+            for i in range(stem[-1] + 1) if stem else (n1,):
+                total = base + qs[i]
+                mask = full
+                for m, table in tables:
+                    mask &= table[total % m]
+                    if not mask:
+                        break
+                else:
+                    for y, a in _splits(total, sieve.survivors(mask), self.a_max):
+                        found.append(Solution(y, a, (*stem, i), total))
+        return found
+
+
+_worker_kernel: _Kernel | None = None
+
+
+def _init_worker(qs, K: int, a_max: int) -> None:
+    global _worker_kernel
+    _worker_kernel = _Kernel(qs, K, a_max)
+
+
+def _worker_partition(n1: int) -> list[Solution]:
+    return _worker_kernel.partition(n1)
 
 
 def enumerate_solutions(
@@ -157,29 +284,32 @@ def enumerate_solutions(
     if threads < 1:
         raise InputError("thread count must be >= 1")
     qs = convergents(cf, rng.N_max).qs
-    parts = [(qs, rng.K, n1, rng.a_max) for n1 in range(rng.N_max + 1)]
-    if budget is not None:
-        used = 0
-        out: list[Solution] = []
-        done: list[int] = []
-        for part in parts:
-            size = comb(part[2] + rng.K - 1, rng.K - 1)
-            if used + size > budget:
-                raise BudgetExceededError(
-                    "tuple budget %d exhausted before N1 = %d" % (budget, part[2]),
-                    partial=out,
-                    completed=done,
-                )
-            out.extend(_search_partition(part))
-            used += size
-            done.append(part[2])
-        return tuple(out)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_search_partition, parts, chunksize=8))
-    else:
-        chunks = [_search_partition(part) for part in parts]
-    return tuple(sol for chunk in chunks for sol in chunk)
+    leads = range(rng.N_max + 1)
+    if threads > 1 and budget is None:
+        # workers receive the q table once, not with every partition
+        with ProcessPoolExecutor(
+            max_workers=threads, initializer=_init_worker, initargs=(qs, rng.K, rng.a_max)
+        ) as pool:
+            chunks = list(pool.map(_worker_partition, leads, chunksize=8))
+        return tuple(sol for chunk in chunks for sol in chunk)
+    kernel = _Kernel(qs, rng.K, rng.a_max)
+    if budget is None:
+        return tuple(sol for n1 in leads for sol in kernel.partition(n1))
+    used = 0
+    out: list[Solution] = []
+    done: list[int] = []
+    for n1 in leads:
+        size = comb(n1 + rng.K - 1, rng.K - 1)
+        if used + size > budget:
+            raise BudgetExceededError(
+                "tuple budget %d exhausted before N1 = %d" % (budget, n1),
+                partial=out,
+                completed=done,
+            )
+        out.extend(kernel.partition(n1))
+        used += size
+        done.append(n1)
+    return tuple(out)
 
 
 def filter_by_weight(

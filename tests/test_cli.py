@@ -302,3 +302,28 @@ def test_module_entrypoint():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"a0": 1, "period": [1], "preperiod": []}
+
+
+def test_report_over_the_int_str_digit_cap_prints_and_verifies(capsys, tmp_path):
+    # the K=4, l=5 walk bound has endpoints of over 6000 decimal digits,
+    # beyond the interpreter's default int <-> str conversion cap
+    rc, report = run(capsys, ROOT2 + ["bounds", "ham", "--K", "4", "--l", "5"])
+    assert rc == 0
+    lines = report.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    jsonschema.validate(doc, SCHEMAS["bounds_report.schema.json"])
+    assert len(doc["n1_bound"]) > 4300
+    rc, sols = run(capsys, ROOT2 + ["search", "--K", "4", "--N-max", "10", "--a-max", "6", "--threads", "1"])
+    assert rc == 0 and sols
+    sols_path = tmp_path / "solutions.jsonl"
+    report_path = tmp_path / "report.json"
+    sols_path.write_text(sols, encoding="utf-8")
+    report_path.write_text(report, encoding="utf-8")
+    rc, doc = run_doc(
+        capsys,
+        ROOT2 + ["verify", "--solutions", str(sols_path), "--report", str(report_path)],
+        "verify.schema.json",
+    )
+    assert rc == 0
+    assert doc == {"checked": len(sols.splitlines()), "verified": True}

@@ -1,7 +1,10 @@
 """Exhaustive search for perfect powers among sums of convergent denominators."""
 
 import dataclasses
+import time
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from cfpow.cfrac import convergents, expand
 from cfpow.errors import BudgetExceededError, InputError
 from cfpow.quadfield import DyadicInterval, make_quadnum
 from cfpow.search import (
+    _ExponentSieve,
     SearchRange,
     Solution,
     enumerate_solutions,
@@ -43,6 +47,56 @@ GOLDEN_40_5_K2 = [
 @pytest.fixture(scope="module")
 def golden_cf_local():
     return expand(make_quadnum(Fraction(1, 2), Fraction(1, 2), 5))
+
+
+# ----- oracle: one integer root per exponent, no sieve -----
+
+
+def _oracle_nthroot(n, k):
+    """floor(n^(1/k)) by integer Newton iteration from an upper seed."""
+    if k == 1 or n < 2:
+        return n
+    if k == 2:
+        return isqrt(n)
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def oracle_power_splits(n, a_max=None):
+    """Every (y, a) with y^a = n and 2 <= a (<= a_max), ascending in a."""
+    if n < 4:
+        return ()
+    top = n.bit_length()
+    if a_max is not None:
+        top = min(top, a_max)
+    out = []
+    for a in range(2, top + 1):
+        y = _oracle_nthroot(n, a)
+        if y >= 2 and y**a == n:
+            out.append((y, a))
+    return tuple(out)
+
+
+def oracle_enumerate(cf, rng):
+    """(y, a, N, value) over every weakly decreasing tuple, search order."""
+    qs = convergents(cf, rng.N_max).qs
+    tuples = sorted(c[::-1] for c in combinations_with_replacement(range(rng.N_max + 1), rng.K))
+    out = []
+    for N in tuples:
+        total = sum(qs[i] for i in N)
+        out.extend((y, a, N, total) for y, a in oracle_power_splits(total, rng.a_max))
+    return out
+
+
+def _rows(sols):
+    return [(s.y, s.a, s.N, s.value) for s in sols]
+
+
+A_MAXES = st.one_of(st.none(), st.integers(min_value=1, max_value=12), st.just(10**6))
 
 
 # ----- perfect-power detection -----
@@ -80,6 +134,39 @@ def test_power_splits_are_exact(n):
     for y, a in power_splits(n):
         assert a >= 2 and y >= 2
         assert y**a == n
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=3000),
+    st.integers(min_value=2, max_value=36),
+    st.integers(min_value=-1, max_value=1),
+    A_MAXES,
+)
+def test_power_splits_match_oracle_near_powers(y, a, shift, a_max):
+    n = y**a + shift
+    assert power_splits(n, a_max) == oracle_power_splits(n, a_max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**400), A_MAXES)
+def test_power_splits_match_oracle_on_random_values(n, a_max):
+    assert power_splits(n, a_max) == oracle_power_splits(n, a_max)
+
+
+@pytest.mark.parametrize("cap", [2, 3, 9, 30])
+def test_sieve_rejects_only_proven_non_powers(cap):
+    sieve = _ExponentSieve(cap)
+    assert sieve.primes == [p for p in range(2, cap + 1) if all(p % d for d in range(2, p))]
+    for m, table in sieve.tables:
+        for i, p in enumerate(sieve.primes):
+            residues = {pow(x, p, m) for x in range(m)}
+            assert all(table[r] >> i & 1 for r in residues), (m, p)
+    # every prime exponent is tested modulo something
+    assert all(
+        any(not table[r] >> i & 1 for m, table in sieve.tables for r in range(m))
+        for i in range(len(sieve.primes))
+    )
 
 
 # ----- solution and range containers -----
@@ -166,6 +253,40 @@ def test_enumerate_is_deterministic(golden_cf_local):
     one = enumerate_solutions(golden_cf_local, SearchRange(20, 4, 3))
     two = enumerate_solutions(golden_cf_local, SearchRange(20, 4, 3))
     assert one == two
+
+
+@pytest.mark.parametrize(
+    "alpha, shape",
+    [
+        ((Fraction(1, 2), Fraction(1, 2), 5), (25, 8, 2)),
+        ((0, 1, 3), (12, 6, 3)),
+        ((Fraction(6, 17), Fraction(-1, 17), 2), (60, 40, 1)),
+        ((0, 1, 2), (8, 5, 4)),
+    ],
+)
+def test_serial_threaded_and_budgeted_runs_match_oracle(alpha, shape):
+    cf = expand(make_quadnum(*alpha))
+    rng = SearchRange(*shape)
+    expected = oracle_enumerate(cf, rng)
+    assert _rows(enumerate_solutions(cf, rng)) == expected
+    assert _rows(enumerate_solutions(cf, rng, threads=2)) == expected
+    assert _rows(enumerate_solutions(cf, rng, budget=10**6)) == expected
+    # a budget that stops mid-range keeps whole partitions, in order
+    half = rng.N_max // 2
+    cost = sum(len(list(combinations_with_replacement(range(n1 + 1), rng.K - 1))) for n1 in range(half + 1))
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_solutions(cf, rng, threads=2, budget=cost)
+    assert err.value.completed == tuple(range(half + 1))
+    assert _rows(err.value.partial) == [row for row in expected if row[2][0] <= half]
+
+
+def test_huge_a_max_is_capped_by_bit_length(golden_cf_local):
+    # sums stay below 2^16, so only the primes up to 13 can split them
+    start = time.perf_counter()
+    sols = enumerate_solutions(golden_cf_local, SearchRange(20, 10**6, 2))
+    assert time.perf_counter() - start < 1.0
+    assert _rows(sols) == oracle_enumerate(golden_cf_local, SearchRange(20, 10**6, 2))
+    assert _rows(sols) == _rows(enumerate_solutions(golden_cf_local, SearchRange(20, 16, 2)))
 
 
 def test_enumerate_rejects_bad_threads(golden_cf_local):
