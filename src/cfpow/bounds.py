@@ -24,10 +24,10 @@ from math import isqrt
 
 from .cfrac import BinetData
 from .errors import InapplicableError, InputError, PrecisionError, WalkPathError
-from .heights import height_quadratic, log_plus
+from .heights import delta3_height_bound, height_quadratic, log_plus
 from .linforms import LinFormInstance, clamp_a, matveev_gamma_bound, matveev_lambda_bound, pw_transfer
 from .numeration import fibonacci
-from .quadfield import DyadicInterval, QuadNum, dyadic_decimal_str, make_quadnum
+from .quadfield import DyadicInterval, QuadNum, decimal_to_fraction, dyadic_decimal_str, make_quadnum
 
 _CASES = ("main", "gamma_equals_one", "k_equals_one", "below_N0")
 
@@ -40,6 +40,10 @@ def _pos(x: DyadicInterval, what: str) -> DyadicInterval:
 
 def _exp2(bits: int) -> DyadicInterval:
     return DyadicInterval.from_int(2, max(bits, 64)).exp()
+
+
+def _interval(lo: str, hi: str) -> DyadicInterval:
+    return DyadicInterval(decimal_to_fraction(lo), decimal_to_fraction(hi))
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,28 @@ class BoundReport:
             "per_k": {str(k): dyadic_decimal_str(v.hi) for k, v in self.per_k},
         }
 
+    @classmethod
+    def from_json(cls, doc: dict) -> "BoundReport":
+        """Inverse of ``to_json``, ledger included: the one report reader.
+
+        Bounds come back as point intervals at the upper endpoints that
+        ``to_json`` keeps.  The ledger floors and the case are checked as
+        for a computed report; malformed input raises "invalid-input".
+        """
+        try:
+            ledger = {name: _interval(v["lo"], v["hi"]) for name, v in doc["ledger"].items()}
+            flags = doc["applicability"]
+            return cls(
+                ConstantLedger(**ledger),
+                *(_interval(doc[key], doc[key]) for key in ("n1_bound", "a_bound", "log_ya_bound")),
+                doc["case"],
+                flags["field_not_Q_sqrt5"],
+                flags["petho_preconditions_ok"],
+                tuple((int(k), _interval(v, v)) for k, v in doc["per_k"].items()),
+            )
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise InputError(f"malformed report: {exc!r}") from None
+
 
 @dataclass(frozen=True)
 class WalkState:
@@ -172,8 +198,7 @@ def petho_preconditions(bd: BinetData) -> bool:
     for non-degenerate data, so this is an executable assertion.
     """
     unit = -1 if bd.s % 2 else 1
-    disc = bd.t_alpha * bd.t_alpha - 4 * unit
-    if disc >= 0 and isqrt(disc) ** 2 == disc:
+    if bd.disc >= 0 and isqrt(bd.disc) ** 2 == bd.disc:
         return False
     return all(bd.t_alpha * bd.t_alpha != j * unit for j in (1, 2, 3, 4))
 
@@ -205,14 +230,12 @@ def elementary_constants(
     K: int,
     variant: str = "zeckendorf",
     b: int | None = None,
-    ell: int | None = None,
 ) -> ConstantLedger:
     """Assemble every interval constant one pipeline run needs.
 
     ``K`` caps the number of denominator summands.  The variant selects
     which digit expansion ties the base to the leading subscript; only
-    the base-b variant needs ``b``.  ``ell`` (the digit count cap) never
-    enters a constant and is accepted only for uniformity.
+    the base-b variant needs ``b``.
     """
     if K < 1:
         raise InputError(f"summand cap must be >= 1, got {K}")
@@ -251,22 +274,18 @@ def elementary_constants(
 
     # coefficient of theta1^-(gap) in the tail of the subsequence sum; the
     # q_r term absorbs summands that sit below the preperiod
-    q_r = bd.q_prefix[bd.r]
+    q_r = bd.subseq_term(0, 0)
     tail_coeff = (c2max + c3 + DyadicInterval.from_int(q_r, bits)) * K / c1min
 
-    # per-gap height envelope of the truncated subsequence sum, and the
-    # two-sided log envelope of its value
-    h_c1_max = height_quadratic(bd.c1[0], bits).value
-    for c in bd.c1[1:]:
-        h_c1_max = h_c1_max.max(height_quadratic(c, bits).value)
+    # per-gap height envelope of the truncated subsequence sum (K summands
+    # of multiplicity one), and the two-sided log envelope of its value
+    d3_unit = delta3_height_bound(K, (1,) * K, (0,) * K, bd, bits).unit_coefficient
     h_t1 = height_quadratic(bd.theta1, bits).value
-    log_K = DyadicInterval.from_int(K, bits).log()
-    hd3unit = h_c1_max + h_t1 + log_K
     l_delta3 = _abs_log(c1min).max(_abs_log(c1max * K))
 
     # known-base pipeline: degree-2 form in three logarithms; the digit
     # count w <= K folds into the third height slot
-    a3_coef = clamp_a((hd3unit * 2).max(l_delta3))
+    a3_coef = clamp_a((d3_unit * 2).max(l_delta3))
     inst_y = LinFormInstance(
         T=3,
         D=2,
@@ -286,7 +305,7 @@ def elementary_constants(
         a_slots = (
             clamp_a(h_sqrt5 * 4),
             clamp_a(h_phi * 4),
-            clamp_a((hd3unit * 4).max(l_delta3)),
+            clamp_a((d3_unit * 4).max(l_delta3)),
             clamp_a(h_t1 * 4),
             DyadicInterval.from_int(8, bits),
         )
@@ -300,7 +319,7 @@ def elementary_constants(
         a_slots = (
             clamp_a(log_b * 2),
             clamp_a(log_b * 2),
-            clamp_a((hd3unit * 2).max(l_delta3)),
+            clamp_a((d3_unit * 2).max(l_delta3)),
             clamp_a(h_t1 * 2),
             clamp_a(log_plus(b_enc, bits) * 10),
         )
@@ -399,15 +418,11 @@ def walk_simulate(k: int, ell: int, C12, log_n1, path="worst") -> WalkState:
     """
     if k < 2 or ell < 2:
         raise InputError(f"walk needs k >= 2 and ell >= 2, got k={k}, ell={ell}")
-    interval_mode = isinstance(C12, DyadicInterval) or isinstance(log_n1, DyadicInterval)
-    if interval_mode:
-        bits = min(x.precision_bits for x in (C12, log_n1) if isinstance(x, DyadicInterval))
-        c = C12 if isinstance(C12, DyadicInterval) else DyadicInterval.from_fraction(C12, bits)
-        g = log_n1 if isinstance(log_n1, DyadicInterval) else DyadicInterval.from_fraction(log_n1, bits)
+    c, g = _walk_inputs(C12, log_n1)
+    if isinstance(c, DyadicInterval):
         seed_ok = (c * g).lo >= 1
-        u0 = DyadicInterval.from_int(1, bits)
+        u0 = DyadicInterval.from_int(1, c.precision_bits)
     else:
-        c, g = Fraction(C12), Fraction(log_n1)
         seed_ok = c * g >= 1
         u0 = Fraction(1)
     if not seed_ok:
@@ -462,6 +477,17 @@ def _walk_value_gt(x, y) -> bool:
     return x > y
 
 
+def _walk_inputs(C12, log_n1):
+    """Both walk inputs as Fractions, or both as intervals at the lower interval precision."""
+    intervals = [x for x in (C12, log_n1) if isinstance(x, DyadicInterval)]
+    if not intervals:
+        return Fraction(C12), Fraction(log_n1)
+    bits = min(x.precision_bits for x in intervals)
+    return tuple(
+        x if isinstance(x, DyadicInterval) else DyadicInterval.from_fraction(x, bits) for x in (C12, log_n1)
+    )
+
+
 def walk_closed_form(k: int, ell: int, C12, log_n1, j: int):
     """Closed-form dominator of u(j): Fibonacci-exponent product.
 
@@ -472,13 +498,11 @@ def walk_closed_form(k: int, ell: int, C12, log_n1, j: int):
         raise InputError(f"step index must be >= 0, got {j}")
     e_outer = fibonacci(j + 2) - 1
     e_grid = fibonacci(j + 1) - 1
-    if isinstance(C12, DyadicInterval) or isinstance(log_n1, DyadicInterval):
-        bits = min(x.precision_bits for x in (C12, log_n1) if isinstance(x, DyadicInterval))
-        c = C12 if isinstance(C12, DyadicInterval) else DyadicInterval.from_fraction(C12, bits)
-        g = log_n1 if isinstance(log_n1, DyadicInterval) else DyadicInterval.from_fraction(log_n1, bits)
-        grid = DyadicInterval.from_int((ell * k) ** e_grid, bits)
+    c, g = _walk_inputs(C12, log_n1)
+    if isinstance(c, DyadicInterval):
+        grid = DyadicInterval.from_int((ell * k) ** e_grid, c.precision_bits)
         return c.powi(e_outer) * grid * g.powi(e_outer)
-    return Fraction(C12) ** e_outer * (ell * k) ** e_grid * Fraction(log_n1) ** e_outer
+    return c**e_outer * (ell * k) ** e_grid * g**e_outer
 
 
 def _surplus_coefficient(led: ConstantLedger, k: int, trivial_floor: DyadicInterval,
@@ -526,8 +550,8 @@ def _walk_pipeline(bd: BinetData, K: int, ell: int, variant: str, b: int | None)
     per_k = []
     for k in range(2, K + 1):
         cstar = fibonacci(k + ell + 1) - 1
-        e_grid = fibonacci(k + ell) - 1
-        cf_coef = led.C12.powi(cstar) * DyadicInterval.from_int((ell * k) ** e_grid, bits)
+        # u(k + ell - 1) of the walk with the log n1 factors stripped off
+        cf_coef = walk_closed_form(k, ell, led.C12, 1, k + ell - 1)
         # exit with the denominator-side subscript as the minimum: resolve
         # n1 <= cf_coef (log n1)^cstar directly
         right = pw_transfer(0, cstar, cf_coef, bits)

@@ -16,6 +16,7 @@ conjugate theta2, and per-class constants c1, c2 with
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, lcm
@@ -30,7 +31,6 @@ __all__ = [
     "expand",
     "convergents",
     "binet_data",
-    "verify_shifted_recurrence",
 ]
 
 
@@ -42,6 +42,10 @@ class ContinuedFraction:
     a0: int
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
+    # memoised denominator table: _a holds a_0, a_1, ... and _q holds the
+    # seeds q_{-2} = 1, q_{-1} = 0 followed by q_0, q_1, ...
+    _a: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _q: list = field(default_factory=lambda: [1, 0], init=False, repr=False, compare=False)
 
     @property
     def r(self) -> int:
@@ -63,9 +67,29 @@ class ContinuedFraction:
             return self.preperiod[i - 1]
         return self.period[(i - self.r) % self.s]
 
+    def _grow(self, n: int) -> None:
+        """Extend the table through index n via q_i = a_i q_{i-1} + q_{i-2}."""
+        a, q = self._a, self._q
+        while len(a) <= n:
+            a.append(self.quotient(len(a)))
+            q.append(a[-1] * q[-1] + q[-2])
+
     def quotients(self, n: int) -> list[int]:
         """The list a_0 .. a_n."""
-        return [self.quotient(i) for i in range(n + 1)]
+        self._grow(n)
+        return self._a[: max(n + 1, 0)]
+
+    def denominators(self, n: int) -> list[int]:
+        """The convergent denominators q_0 .. q_n."""
+        self._grow(n)
+        return self._q[2 : n + 3]
+
+    def denominators_above(self, x: int) -> list[int]:
+        """q_0, q_1, ... through the first denominator that exceeds x."""
+        q = self._q
+        while q[-1] <= x:
+            self._grow(len(self._a))
+        return q[2 : bisect_right(q, x, 2) + 1]
 
     def to_json(self) -> dict:
         return {
@@ -140,16 +164,7 @@ def convergents(cf: ContinuedFraction, n: int) -> ConvergentTable:
     """Table of q_0 .. q_n via q_{i+1} = a_{i+1} q_i + q_{i-1}, q_0 = 1."""
     if n < 0:
         raise InputError("n must be >= 0")
-    return ConvergentTable(cf, tuple(_q_list(cf, n)))
-
-
-def _q_list(cf: ContinuedFraction, n: int) -> list[int]:
-    qs = [1]
-    prev = 0  # q_{-1}
-    for i in range(1, n + 1):
-        qs.append(cf.quotient(i) * qs[-1] + prev)
-        prev = qs[-2]
-    return qs
+    return ConvergentTable(cf, tuple(cf.denominators(n)))
 
 
 def period_matrix_trace(cf: ContinuedFraction) -> int:
@@ -182,12 +197,11 @@ class BinetData:
     c3: DyadicInterval
     c4: DyadicInterval
     N0: int
-    q_prefix: tuple[int, ...] = field(repr=False)
     precision_bits: int = DEFAULT_PRECISION
 
     def subseq_term(self, j: int, i: int) -> int:
-        """q_{j+r+s*i} from the stored prefix (i <= 1)."""
-        return self.q_prefix[j + self.r + self.s * i]
+        """q_{j+r+s*i}, read from the denominator table of ``cf``."""
+        return self.cf.denominators(j + self.r + self.s * i)[-1]
 
     def to_json(self) -> dict:
         return {
@@ -212,7 +226,7 @@ def binet_data(
     n0_cap: int = 10**6,
 ) -> BinetData:
     r, s = cf.r, cf.s
-    qs = _q_list(cf, r + 2 * s)
+    qs = cf.denominators(r + 2 * s)
     t = period_matrix_trace(cf)
     unit = -1 if s % 2 else 1
     disc = t * t - 4 * unit
@@ -226,16 +240,8 @@ def binet_data(
         q0, q1 = qs[j + r], qs[j + r + s]
         c1.append((q1 - theta2 * q0) / dtheta)
         c2.append((q1 - theta1 * q0) / dtheta)
-    c3_val = None
-    c4_val = None
-    for u, v in zip(c1, c2):
-        cand = u + abs(v)
-        if c3_val is None or cand > c3_val:
-            c3_val = cand
-        if c4_val is None or u < c4_val:
-            c4_val = u
-    c3 = c3_val.enclose(precision_bits)
-    c4 = (c4_val / 2).enclose(precision_bits)
+    c3 = max(u + abs(v) for u, v in zip(c1, c2)).enclose(precision_bits)
+    c4 = (min(c1) / 2).enclose(precision_bits)
     n0 = _least_sandwich_index(theta1, theta2, c1, c2, n0_cap)
     return BinetData(
         cf=cf,
@@ -251,7 +257,6 @@ def binet_data(
         c3=c3,
         c4=c4,
         N0=n0,
-        q_prefix=tuple(qs),
         precision_bits=precision_bits,
     )
 
@@ -271,15 +276,3 @@ def _least_sandwich_index(theta1, theta2, c1, c2, cap: int) -> int:
             raise PrecisionError(f"sandwich index not found within {cap} steps")
         pow1 = pow1 * theta1
         pow2 = pow2 * abs_t2
-
-
-def verify_shifted_recurrence(cf: ContinuedFraction, i_max: int, i_min: int | None = None) -> bool:
-    """Check q_{i+2s} == t q_{i+s} - (-1)^s q_i exactly for r <= i <= i_max."""
-    r, s = cf.r, cf.s
-    lo = r if i_min is None else max(i_min, r)
-    if i_max < lo:
-        return True
-    t = period_matrix_trace(cf)
-    unit = -1 if s % 2 else 1
-    qs = _q_list(cf, i_max + 2 * s)
-    return all(qs[i + 2 * s] == t * qs[i + s] - unit * qs[i] for i in range(lo, i_max + 1))

@@ -20,11 +20,11 @@ import os
 import sys
 from fractions import Fraction
 
-from .bounds import theorem_ham2_bound, theorem_ham_bound, theorem_y_bound
+from .bounds import BoundReport, theorem_ham2_bound, theorem_ham_bound, theorem_y_bound
 from .cfrac import binet_data, convergents, expand
 from .errors import InapplicableError, InputError, ToolkitError
 from .numeration import ostrowski_encode, radix_encode, zeckendorf_encode
-from .quadfield import DEFAULT_PRECISION, decimal_to_fraction, make_quadnum
+from .quadfield import DEFAULT_PRECISION, make_quadnum
 from .search import SearchRange, Solution, enumerate_solutions, filter_by_weight, verify_bounds
 
 __all__ = ["main", "build_parser"]
@@ -131,7 +131,7 @@ def build_parser() -> _Parser:
     srch.add_argument("--K", type=int, required=True)
     srch.add_argument("--N-max", type=int, required=True)
     srch.add_argument("--a-max", type=int, required=True)
-    srch.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    srch.add_argument("--threads", type=int, default=1, help="worker processes (default: 1, serial)")
     srch.add_argument("--budget", type=int, default=None, help="cap on K-tuples examined")
     group = srch.add_mutually_exclusive_group()
     group.add_argument("--filter-zeckendorf", type=int, metavar="L")
@@ -141,23 +141,6 @@ def build_parser() -> _Parser:
     ver.add_argument("--solutions", required=True, help="JSON-lines file from `search`")
     ver.add_argument("--report", required=True, help="JSON file from `bounds`")
     return parser
-
-
-class _BoundView:
-    def __init__(self, hi: Fraction):
-        self.hi = hi
-
-
-class _ReportView:
-    """The slice of a bound report that verification consumes."""
-
-    def __init__(self, doc: dict):
-        try:
-            self.n1_bound = _BoundView(decimal_to_fraction(doc["n1_bound"]))
-            self.a_bound = _BoundView(decimal_to_fraction(doc["a_bound"]))
-            self.log_ya_bound = _BoundView(decimal_to_fraction(doc["log_ya_bound"]))
-        except (KeyError, TypeError, InputError) as exc:
-            raise InputError(f"malformed report file: {exc}") from None
 
 
 def _load_solutions(path: str) -> list[Solution]:
@@ -224,7 +207,7 @@ def _run(args, stream) -> int:
                 doc = json.load(fh)
         except (OSError, ValueError) as exc:
             raise InputError(f"malformed report file: {exc}") from None
-        ok = verify_bounds(sols, _ReportView(doc), bd)
+        ok = verify_bounds(sols, BoundReport.from_json(doc), bd)
         _emit({"verified": ok, "checked": len(sols)}, stream)
     return 0
 

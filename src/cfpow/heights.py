@@ -22,15 +22,10 @@ from .quadfield import DEFAULT_PRECISION, DyadicInterval, QuadNum
 __all__ = [
     "HeightBound",
     "Delta3Height",
-    "Delta5Height",
     "log_plus",
     "height_rational",
     "height_quadratic",
-    "height_combine",
-    "height_power",
-    "height_poly_bound",
     "delta3_height_bound",
-    "delta5_height_bound",
 ]
 
 
@@ -105,33 +100,6 @@ def height_quadratic(x: QuadNum, precision_bits: int = DEFAULT_PRECISION) -> Hei
     return HeightBound(total * Fraction(1, 2), "exact")
 
 
-def height_combine(h1: HeightBound, h2: HeightBound, op: str) -> HeightBound:
-    """h(x*y) and h(x/y) share the same upper bound h(x) + h(y)."""
-    if op not in ("product", "quotient"):
-        raise InputError(f"bad op {op!r}")
-    return HeightBound(h1.value + h2.value, "bound")
-
-
-def height_power(h: HeightBound, k: int) -> HeightBound:
-    """h(x**k) = |k| h(x), an equality."""
-    return HeightBound(h.value * abs(k), h.kind)
-
-
-def height_poly_bound(degrees, L: int, h_list, precision_bits: int = DEFAULT_PRECISION) -> HeightBound:
-    """Evaluation bound sum(deg_i * h_i) + log L for an integer polynomial."""
-    if len(degrees) != len(h_list):
-        raise InputError("degrees and heights must align")
-    if L < 1:
-        raise InputError("coefficient sum L must be >= 1")
-    total = _log_int(L, precision_bits)
-    for deg, h in zip(degrees, h_list):
-        if deg < 0:
-            raise InputError("negative degree")
-        if deg:
-            total = total + h.value * deg
-    return HeightBound(total, "bound")
-
-
 @dataclass(frozen=True)
 class Delta3Height:
     """Height bound for a combination sum(d_i c1 theta1**(n_i - n_1)).
@@ -161,57 +129,8 @@ def delta3_height_bound(w: int, d, gaps, bd, precision_bits: int = DEFAULT_PRECI
         h_c1_max = h if h_c1_max is None else h_c1_max.max(h)
     h_theta = height_quadratic(bd.theta1, precision_bits).value
     gap_w = gaps[w - 1]
-    d_sum = sum(d[:w])
-    tight = h_c1_max * w + h_theta * gap_w + _log_int(d_sum, precision_bits)
-    unit = h_c1_max + h_theta + _log_int(d_sum, precision_bits)
+    log_d = _log_int(sum(d[:w]), precision_bits)
+    tight = h_c1_max * w + h_theta * gap_w + log_d
+    unit = h_c1_max + h_theta + log_d
     uniform = unit * (w * max(gap_w, 1))
     return Delta3Height(HeightBound(tight, "bound"), HeightBound(uniform, "bound"), unit)
-
-
-@dataclass(frozen=True)
-class Delta5Height:
-    """Height bound for the small-index tail sum of a numeration expansion."""
-
-    final: HeightBound
-    intermediate: HeightBound
-
-
-def delta5_height_bound(
-    v: int,
-    gaps,
-    variant: str = "zeckendorf",
-    b: int | None = None,
-    digits=None,
-    precision_bits: int = DEFAULT_PRECISION,
-) -> Delta5Height:
-    """gaps lists m_1 - m_i for i = 1..v; the tail is exactly 1 when v = 1."""
-    if v < 1:
-        raise InputError("v must be >= 1")
-    if len(gaps) < v or gaps[0] != 0 or any(g < 0 for g in gaps[:v]):
-        raise InputError("need v gaps starting at 0")
-    bits = precision_bits
-    if v == 1:
-        zero = HeightBound(_zero(bits), "exact")
-        return Delta5Height(zero, zero)
-    gap_v = gaps[v - 1]
-    if gap_v < 1:
-        raise InputError("positions must be strictly decreasing for v >= 2")
-    if variant == "zeckendorf":
-        phi = QuadNum(Fraction(1, 2), Fraction(1, 2), 5)
-        inter = height_quadratic(phi, bits).value * gap_v + _log_int(v, bits)
-        final = DyadicInterval.from_int(2 * v * gap_v, bits)
-    elif variant == "radix":
-        if b is None or b < 2:
-            raise InputError("radix variant needs a base b >= 2")
-        if digits is None:
-            digit_sum = v * (b - 1)
-        else:
-            if len(digits) < v or any(not 0 < dd < b for dd in digits[:v]):
-                raise InputError("digits must satisfy 0 < D_i < b")
-            digit_sum = sum(digits[:v])
-        inter = _log_int(b, bits) * gap_v + _log_int(digit_sum, bits) * 2
-        final = log_plus(b, bits) * (5 * gap_v)
-    else:
-        raise InputError(f"bad variant {variant!r}")
-    assert inter.lo <= final.hi, "intermediate must be dominated by the final bound"
-    return Delta5Height(HeightBound(final, "bound"), HeightBound(inter, "bound"))

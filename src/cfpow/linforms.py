@@ -5,8 +5,8 @@ classical lower-bound formulas as certified intervals; the hypotheses
 (non-vanishing, height floors) are the caller's responsibility.
 
 ``pw_transfer`` turns an inequality x <= a + g (log x)^c into an explicit
-bound on x, valid when g > (e^2/c)^c; ``pw_largest_root`` encloses the
-actual largest fixed point so the transfer bound can be tested against it.
+bound on x, valid when g > (e^2/c)^c.  ``escalate`` is the one loop that
+doubles the working precision of a certified comparison.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import G2LDomainError, InputError, PrecisionError, PWPreconditionError
+from .errors import InputError, PrecisionError, PWPreconditionError
 from .quadfield import DEFAULT_PRECISION, DyadicInterval, _round_up
 
 __all__ = [
@@ -22,24 +22,12 @@ __all__ = [
     "matveev_gamma_bound",
     "matveev_lambda_bound",
     "pw_transfer",
-    "pw_largest_root",
-    "log_from_gamma",
     "escalate",
-    "a_majorant",
     "clamp_a",
 ]
 
 _A_FLOOR = Fraction(4, 25)  # 0.16
-
-
-def a_majorant(x, precision_bits: int = DEFAULT_PRECISION) -> DyadicInterval:
-    """Point interval at the dyadic round-up of max(x, 0.16).
-
-    0.16 itself is not dyadic, so majorants touching the floor must round
-    up; overshooting a majorant is sound, undershooting is not.
-    """
-    v = _round_up(max(Fraction(x), _A_FLOOR), precision_bits)
-    return DyadicInterval(v, v, precision_bits)
+_MAX_DOUBLINGS = 5  # 128 bits escalate to at most 4096
 
 
 def clamp_a(x: DyadicInterval) -> DyadicInterval:
@@ -50,14 +38,14 @@ def clamp_a(x: DyadicInterval) -> DyadicInterval:
     return DyadicInterval(max(x.lo, floor), max(x.hi, floor), x.precision_bits)
 
 
-def escalate(builder, precision_bits: int = DEFAULT_PRECISION, rounds: int = 4, what: str = "comparison"):
+def escalate(builder, precision_bits: int = DEFAULT_PRECISION, what: str = "comparison"):
     """Run builder(bits) until it returns a non-None result, doubling bits.
 
-    builder returns None to request more precision.  Exhausting the rounds
-    raises "precision-exhausted".
+    builder returns None to request more precision.  After
+    ``_MAX_DOUBLINGS`` doublings it raises "precision-exhausted".
     """
     bits = precision_bits
-    for _ in range(rounds + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         result = builder(bits)
         if result is not None:
             return result
@@ -159,15 +147,12 @@ def _pw_precondition_status(c, g, bits: int):
 
 
 def _require_pw_precondition(c, g, precision_bits: int):
-    bits = precision_bits
-    for _ in range(5):
-        status = _pw_precondition_status(c, g, bits)
-        if status == 1:
-            return
-        if status == -1:
-            raise PWPreconditionError("need g > (e^2/c)^c")
-        bits *= 2
-    raise PWPreconditionError(f"g > (e^2/c)^c undecided at {bits // 2} bits")
+    try:
+        status = escalate(lambda bits: _pw_precondition_status(c, g, bits), precision_bits, "g > (e^2/c)^c")
+    except PrecisionError as exc:
+        raise PWPreconditionError(exc.detail) from None
+    if status == -1:
+        raise PWPreconditionError("need g > (e^2/c)^c")
 
 
 def _root_nonneg(x: DyadicInterval, n: int) -> DyadicInterval:
@@ -209,72 +194,3 @@ def pw_transfer(a, c, g, precision_bits: int = DEFAULT_PRECISION) -> DyadicInter
     inner = _pow_pos(a_i, inv_c) + _pow_pos(g_i, inv_c) * (c_i * c_i.log() + log_g)
     two_log = DyadicInterval.from_int(2, bits).log()
     return (c_i * (two_log + inner.log())).exp()
-
-
-def _pw_f_sign(x: Fraction, a, c_int: int, g, bits: int):
-    """Certified sign of f(x) = x - a - g (log x)^c at a dyadic point, or None."""
-    xi = DyadicInterval(x, x, bits)
-    val = xi - _lift(a, bits) - _lift(g, bits) * xi.log().powi(c_int)
-    if val.lo > 0:
-        return 1
-    if val.hi < 0:
-        return -1
-    return None
-
-
-def pw_largest_root(a, c, g, precision_bits: int = DEFAULT_PRECISION, max_iter: int = 500) -> DyadicInterval:
-    """Enclose the largest solution of x = a + g (log x)^c by bisection.
-
-    The bracket starts at the transfer bound and walks down by halving until
-    the sign certifies negative; past the largest root the defect is
-    positive, so the first negative window hit from above brackets it.
-    """
-    c_frac = _check_pw_args(a, c, g)
-    if c_frac is None or c_frac.denominator != 1:
-        raise InputError("root enclosure expects an integer exponent c")
-    n = c_frac.numerator
-    bound = pw_transfer(a, c, g, precision_bits)
-    bits = precision_bits
-
-    def certified_sign(x: Fraction):
-        b = bits
-        for _ in range(5):
-            s = _pw_f_sign(x, a, n, g, b)
-            if s is not None:
-                return s
-            b *= 2
-        return None
-
-    hi_pt = bound.hi
-    if certified_sign(hi_pt) != 1:
-        raise PrecisionError("transfer bound not certified above the root")
-    lo_pt = hi_pt / 2
-    steps = 0
-    while certified_sign(lo_pt) != -1:
-        lo_pt /= 2
-        steps += 1
-        if lo_pt <= 1 or steps > 200:
-            raise PrecisionError("no negative window found below the bound")
-    tol = Fraction(1, 2 ** min(48, precision_bits // 2))
-    for _ in range(max_iter):
-        if hi_pt - lo_pt <= tol * max(Fraction(1), lo_pt):
-            return DyadicInterval(lo_pt, hi_pt, precision_bits)
-        mid = (lo_pt + hi_pt) / 2
-        s = certified_sign(mid)
-        if s is None:
-            # f vanishes at mid within evaluation width; the bracket is sound
-            return DyadicInterval(lo_pt, hi_pt, precision_bits)
-        if s == 1:
-            hi_pt = mid
-        else:
-            lo_pt = mid
-    raise PrecisionError(f"bisection did not converge within {max_iter} iterations")
-
-
-def log_from_gamma(gamma_minus_1_abs: DyadicInterval) -> DyadicInterval:
-    """Upper bound 2|x - 1| for |log x|, valid while |x - 1| <= 1/2."""
-    if gamma_minus_1_abs.lo < 0:
-        raise InputError("expected an absolute value, lower endpoint is negative")
-    if gamma_minus_1_abs.hi > Fraction(1, 2):
-        raise G2LDomainError("|x - 1| exceeds 1/2; use the large-deviation branch")
-    return gamma_minus_1_abs * 2

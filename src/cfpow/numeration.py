@@ -11,28 +11,22 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cfrac import ContinuedFraction
-from .errors import InputError, PrecisionError
-from .quadfield import DEFAULT_PRECISION, DyadicInterval, make_quadnum
+from .errors import InputError, ToolkitError
 
 __all__ = [
     "OstrowskiRep",
     "ZeckendorfRep",
     "RadixRep",
-    "SumRepresentation",
     "ostrowski_encode",
     "ostrowski_decode",
     "ostrowski_validate",
     "zeckendorf_encode",
     "zeckendorf_decode",
-    "zeckendorf_canonicalize",
     "radix_encode",
     "radix_decode",
-    "partition_sum",
     "fibonacci",
-    "fib_bounds_check",
 ]
 
 
@@ -62,23 +56,13 @@ class RadixRep:
         return {"base": self.base, "positions": list(self.positions), "digits": list(self.digits)}
 
 
-def _denominators_up_to(cf: ContinuedFraction, n: int) -> list[int]:
-    """q_0, q_1, ... extended until the last entry exceeds n."""
-    qs = [1, cf.quotient(1)]
-    i = 1
-    while qs[-1] <= n:
-        i += 1
-        qs.append(cf.quotient(i) * qs[-1] + qs[-2])
-    return qs
-
-
 def ostrowski_encode(n: int, cf: ContinuedFraction) -> OstrowskiRep:
     """Greedy digit vector for n over the convergent denominators of cf."""
     if n < 0:
         raise InputError("n must be >= 0")
     if n == 0:
         return OstrowskiRep(())
-    qs = _denominators_up_to(cf, n)
+    qs = cf.denominators_above(n)
     top = bisect_right(qs, n) - 1  # rightmost q <= n; ties go to the higher index
     digits = [0] * (top + 1)
     rem = n
@@ -88,39 +72,37 @@ def ostrowski_encode(n: int, cf: ContinuedFraction) -> OstrowskiRep:
 
 
 def ostrowski_decode(rep: OstrowskiRep, cf: ContinuedFraction) -> int:
-    qs = [1]
-    prev = 0
-    for i in range(1, len(rep.digits)):
-        qs.append(cf.quotient(i) * qs[-1] + prev)
-        prev = qs[-2]
-    return sum(d * q for d, q in zip(rep.digits, qs))
+    return sum(d * q for d, q in zip(rep.digits, cf.denominators(len(rep.digits) - 1)))
+
+
+def _digit_conditions(digits, quots) -> bool:
+    """0 <= d_0 < a_1, d_i <= a_{i+1}, and d_i = a_{i+1} only after d_{i-1} = 0."""
+    if any(d < 0 for d in digits) or (digits and digits[0] >= quots[0]):
+        return False
+    return not any(
+        digits[i] > quots[i] or (digits[i] == quots[i] and digits[i - 1] != 0)
+        for i in range(1, len(digits))
+    )
+
+
+def _partial_sums_bounded(digits, qs) -> bool:
+    """Every partial sum d_0 q_0 + ... + d_i q_i stays below q_{i+1}."""
+    acc = 0
+    for i, d in enumerate(digits):
+        if d < 0:
+            return False
+        acc += d * qs[i]
+        if acc >= qs[i + 1]:
+            return False
+    return True
 
 
 def ostrowski_validate(rep: OstrowskiRep, cf: ContinuedFraction) -> bool:
     """Digit conditions, cross-checked against the partial-sum bound."""
     digits = rep.digits
-    quots = [cf.quotient(i + 1) for i in range(len(digits))]  # a_1 .. a_l
-    conditions = all(d >= 0 for d in digits)
-    if conditions and digits:
-        conditions = digits[0] < quots[0]
-        for i in range(1, len(digits)):
-            if digits[i] > quots[i] or (digits[i] == quots[i] and digits[i - 1] != 0):
-                conditions = False
-                break
-    # partial sums of d_i q_i must each stay below the next denominator
-    greedy = True
-    q_prev, q_cur = 0, 1
-    acc = 0
-    for i, d in enumerate(digits):
-        if d < 0:
-            greedy = False
-            break
-        acc += d * q_cur
-        q_prev, q_cur = q_cur, quots[i] * q_cur + q_prev
-        if acc >= q_cur:
-            greedy = False
-            break
-    assert conditions == greedy, (digits, conditions, greedy)
+    conditions = _digit_conditions(digits, cf.quotients(len(digits))[1:])  # a_1 .. a_l
+    if conditions != _partial_sums_bounded(digits, cf.denominators(len(digits))):
+        raise ToolkitError(f"Ostrowski digit conditions and partial sums disagree on {list(digits)}")
     return conditions
 
 
@@ -157,18 +139,6 @@ def zeckendorf_decode(rep: ZeckendorfRep) -> int:
     return sum(fibonacci(m) for m in rep.indices)
 
 
-def zeckendorf_canonicalize(indices) -> ZeckendorfRep:
-    """Re-encode an arbitrary multiset of Fibonacci indices (each >= 1)."""
-    total = 0
-    for m in indices:
-        if m < 1:
-            raise InputError("Fibonacci indices must be >= 1")
-        total += fibonacci(m)
-    if total == 0:
-        raise InputError("empty sum")
-    return zeckendorf_encode(total)
-
-
 def radix_encode(y: int, b: int) -> RadixRep:
     if y < 1:
         raise InputError("y must be >= 1")
@@ -190,76 +160,3 @@ def radix_encode(y: int, b: int) -> RadixRep:
 
 def radix_decode(rep: RadixRep) -> int:
     return sum(d * rep.base**m for d, m in zip(rep.digits, rep.positions))
-
-
-@dataclass(frozen=True)
-class SumRepresentation:
-    """K indices collected into distinct values and split along the period.
-
-    ``terms`` holds (multiplicity, value) pairs with value >= r, descending;
-    ``split`` aligns with terms and holds (n_i, j_i) where
-    value = s*n_i + j_i + r and 0 <= j_i < s.  Indices below the preperiod
-    length r cannot be split and sit in ``small_terms`` with multiplicities.
-    """
-
-    K: int
-    r: int
-    s: int
-    terms: tuple[tuple[int, int], ...]
-    split: tuple[tuple[int, int], ...]
-    small_terms: tuple[tuple[int, int], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.terms)
-
-    def to_json(self) -> dict:
-        return {
-            "K": self.K,
-            "r": self.r,
-            "s": self.s,
-            "terms": [{"d": d, "N": v} for d, v in self.terms],
-            "split": [{"n": n, "j": j} for n, j in self.split],
-            "small_terms": [{"d": d, "N": v} for d, v in self.small_terms],
-        }
-
-
-def partition_sum(N, cf: ContinuedFraction) -> SumRepresentation:
-    """Collect weakly decreasing indices N_1 >= ... >= N_K by distinct value."""
-    values = list(N)
-    if not values:
-        raise InputError("need at least one index")
-    if any(v < 0 for v in values):
-        raise InputError("indices must be >= 0")
-    if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
-        raise InputError("indices must be weakly decreasing")
-    r, s = cf.r, cf.s
-    collected: list[tuple[int, int]] = []
-    for v in values:
-        if collected and collected[-1][1] == v:
-            collected[-1] = (collected[-1][0] + 1, v)
-        else:
-            collected.append((1, v))
-    terms = tuple(dv for dv in collected if dv[1] >= r)
-    small = tuple(dv for dv in collected if dv[1] < r)
-    split = tuple(divmod(v - r, s) for _, v in terms)
-    return SumRepresentation(len(values), r, s, terms, split, small)
-
-
-def fib_bounds_check(t: int, precision_bits: int = DEFAULT_PRECISION) -> bool:
-    """Certify phi**(t-2) <= F_t <= phi**(t-1) with interval powers."""
-    if t < 1:
-        raise InputError("t must be >= 1")
-    ft = fibonacci(t)
-    phi = make_quadnum(Fraction(1, 2), Fraction(1, 2), 5)
-    bits = precision_bits
-    for _ in range(4):
-        enc = phi.enclose(bits)
-        target = DyadicInterval.from_int(ft, bits)
-        low, high = enc.powi(t - 2), enc.powi(t - 1)
-        if low.definitely_le(target) and high.definitely_ge(target):
-            return True
-        if low.definitely_gt(target) or high.definitely_lt(target):
-            return False
-        bits *= 2
-    raise PrecisionError(f"fib bounds undecided for t={t} at {bits // 2} bits")

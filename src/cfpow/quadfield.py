@@ -524,7 +524,7 @@ class DyadicInterval:
 
     def powi(self, n: int) -> "DyadicInterval":
         """n-th power, n any integer; even powers respect sign crossings."""
-        if n == 0:
+        if n == 0 or self.lo == self.hi == 1:  # the walk raises the point 1 to Fibonacci powers
             return DyadicInterval.from_int(1, self.precision_bits)
         if n < 0:
             return 1 / self.powi(-n)

@@ -32,9 +32,10 @@ from math import comb, isqrt
 
 from .bounds import BoundReport
 from .cfrac import BinetData, ContinuedFraction, convergents
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, PrecisionError
+from .linforms import escalate
 from .numeration import radix_encode, zeckendorf_encode
-from .quadfield import DEFAULT_PRECISION, DyadicInterval, _int_nthroot
+from .quadfield import DyadicInterval, _int_nthroot
 
 __all__ = [
     "Solution",
@@ -350,12 +351,19 @@ def verify_bounds(solutions, report: BoundReport, bd: BinetData) -> bool:
             return False
         if Fraction(sol.a) > report.a_bound.hi:
             return False
-        bits = DEFAULT_PRECISION
-        while True:
-            log_ya = DyadicInterval.from_int(sol.y, bits).log() * DyadicInterval.from_int(sol.a, bits)
-            if log_ya.hi <= report.log_ya_bound.hi:
-                break
-            if log_ya.lo > report.log_ya_bound.hi or bits >= 4096:
+        try:
+            if not escalate(lambda bits: _log_power_below(sol, report.log_ya_bound.hi, bits), what="log(y^a)"):
                 return False
-            bits *= 2
+        except PrecisionError:
+            return False
     return True
+
+
+def _log_power_below(sol: Solution, bound: Fraction, bits: int) -> bool | None:
+    """Whether a log(y) <= bound, certified at ``bits``; None if undecided."""
+    log_ya = DyadicInterval.from_int(sol.y, bits).log() * DyadicInterval.from_int(sol.a, bits)
+    if log_ya.hi <= bound:
+        return True
+    if log_ya.lo > bound:
+        return False
+    return None

@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 
 from conftest import sample_irrationals
+from oracles import a_majorant, pw_largest_root, verify_shifted_recurrence
 
 from cfpow import cli
 from cfpow.bounds import (
@@ -26,13 +27,11 @@ from cfpow.bounds import (
     walk_closed_form,
     walk_simulate,
 )
-from cfpow.cfrac import binet_data, convergents, expand, verify_shifted_recurrence
+from cfpow.cfrac import binet_data, convergents, expand
 from cfpow.linforms import (
     LinFormInstance,
-    a_majorant,
     matveev_gamma_bound,
     matveev_lambda_bound,
-    pw_largest_root,
     pw_transfer,
 )
 from cfpow.numeration import (

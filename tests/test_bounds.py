@@ -1,8 +1,12 @@
 """Effective-bound pipelines: constant assembly, grid walk, and the three routes."""
 
+import functools
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfpow.bounds import (
     BoundReport,
@@ -17,8 +21,9 @@ from cfpow.bounds import (
     walk_closed_form,
     walk_simulate,
 )
+from cfpow.cfrac import binet_data, expand
 from cfpow.errors import InapplicableError, InputError, WalkPathError
-from cfpow.quadfield import DyadicInterval, dyadic_decimal_str
+from cfpow.quadfield import DyadicInterval, dyadic_decimal_str, make_quadnum
 
 # assembled constants for the two reference expansions, frozen from an
 # independent high-precision evaluation of the defining formulas
@@ -355,3 +360,61 @@ def test_reports_are_deterministic(root2_bd):
     one = json.dumps(theorem_ham_bound(root2_bd, 2, 2).to_json(), sort_keys=True)
     two = json.dumps(theorem_ham_bound(root2_bd, 2, 2).to_json(), sort_keys=True)
     assert one == two
+
+
+# ----- report reading -----
+
+_FIELDS = {
+    "sqrt2": (0, 1, 2),
+    "sqrt7": (0, 1, 7),
+    "mixed": (Fraction(6, 17), Fraction(-1, 17), 2),
+    "golden": (Fraction(1, 2), Fraction(1, 2), 5),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _bd(field, bits):
+    return binet_data(expand(make_quadnum(*_FIELDS[field])), bits)
+
+
+def _round_trips(rep):
+    doc = json.loads(json.dumps(rep.to_json()))
+    assert BoundReport.from_json(doc).to_json() == rep.to_json()
+
+
+_field_bits = st.tuples(st.sampled_from(sorted(_FIELDS)), st.sampled_from([64, 128, 512]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_field_bits, st.integers(1, 4), st.integers(2, 10**6))
+def test_y_report_round_trips(field_bits, K, y):
+    _round_trips(theorem_y_bound(_bd(*field_bits), K, y))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_field_bits, st.integers(1, 4), st.integers(2, 3))
+def test_ham_report_round_trips(field_bits, K, ell):
+    try:
+        rep = theorem_ham_bound(_bd(*field_bits), K, ell)
+    except InapplicableError:
+        assert field_bits[0] == "golden"
+        return
+    _round_trips(rep)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_field_bits, st.integers(1, 4), st.integers(2, 3), st.integers(2, 16))
+def test_ham2_report_round_trips(field_bits, K, ell, b):
+    _round_trips(theorem_ham2_bound(_bd(*field_bits), K, ell, b))
+
+
+def test_report_reader_rejects_what_a_pipeline_cannot_produce(root2_bd):
+    doc = theorem_y_bound(root2_bd, 2, 2).to_json()
+    bad_case = dict(doc, case="maybe")
+    low_c10 = dict(doc, ledger=dict(doc["ledger"], c10={"lo": "7", "hi": "7"}))
+    low_C12 = dict(doc, ledger=dict(doc["ledger"], C12={"lo": "0.5", "hi": "0.5"}))
+    unknown_constant = dict(doc, ledger=dict(doc["ledger"], c13={"lo": "1", "hi": "1"}))
+    non_dyadic = dict(doc, n1_bound="0.1")
+    for broken in (bad_case, low_c10, low_C12, unknown_constant, non_dyadic, [], {}, dict(doc, per_k=[])):
+        with pytest.raises(InputError):
+            BoundReport.from_json(broken)

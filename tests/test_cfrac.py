@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cfpow.cfrac import (
     ContinuedFraction,
@@ -10,10 +12,10 @@ from cfpow.cfrac import (
     convergents,
     expand,
     period_matrix_trace,
-    verify_shifted_recurrence,
 )
 from cfpow.errors import InputError, NonQuadraticError
 from cfpow.quadfield import make_quadnum
+from oracles import verify_shifted_recurrence
 
 CLASSICAL_EXPANSIONS = [
     ((0, 1, 2), 1, (), (2,)),
@@ -242,3 +244,50 @@ def test_shifted_recurrence_needs_the_preperiod_offset():
 def test_shifted_recurrence_respects_i_min():
     cf = expand(make_quadnum(Fraction(6, 17), Fraction(-1, 17), 2))
     assert verify_shifted_recurrence(cf, cf.r + 2 * cf.s + 20, i_min=cf.r)
+
+
+# ----- memoised denominator table -----
+
+
+def _independent_denominators(cf, n):
+    """q_0 .. q_n by the textbook recurrence, from the quotients alone."""
+    q_prev, q = 0, 1
+    out = [q]
+    for i in range(1, n + 1):
+        q_prev, q = q, cf.quotient(i) * q + q_prev
+        out.append(q)
+    return out
+
+
+@given(
+    st.sampled_from(CLASSICAL_EXPANSIONS),
+    st.lists(st.integers(min_value=0, max_value=250), min_size=1, max_size=6),
+)
+def test_denominator_table_matches_recurrence_in_any_query_order(expansion, queries):
+    cf = expand(make_quadnum(*expansion[0]))
+    for n in queries:
+        assert cf.denominators(n) == _independent_denominators(cf, n)
+        assert cf.quotients(n) == [cf.quotient(i) for i in range(n + 1)]
+        above = cf.denominators_above(n)
+        assert above == _independent_denominators(cf, len(above) - 1)
+        assert above[-1] > n and all(q <= n for q in above[:-1])
+
+
+def test_denominator_table_long_then_short_queries():
+    cf = expand(make_quadnum(Fraction(6, 17), Fraction(-1, 17), 2))
+    reference = _independent_denominators(cf, 200)
+    for n in (50, 5, 200, 0, 120):
+        assert cf.denominators(n) == reference[: n + 1]
+    assert convergents(cf, 200).qs == tuple(reference)
+    assert cf.denominators_above(10) == [1, 3, 4, 11]
+
+
+def test_denominator_table_is_not_part_of_the_value():
+    alpha = make_quadnum(0, 1, 7)
+    warm, cold = expand(alpha), expand(alpha)
+    warm.denominators(300)
+    assert warm == cold
+    assert hash(warm) == hash(cold)
+    assert warm.to_json() == cold.to_json()
+    assert "_q" not in repr(warm)
+    assert binet_data(warm).to_json() == binet_data(cold).to_json()

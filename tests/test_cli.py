@@ -8,7 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from cfpow import cli
+from cfpow import cli, search
 
 GOLDEN = ["--alpha", "1,1,2,5"]
 ROOT2 = ["--alpha", "0,1,1,2"]
@@ -327,3 +327,45 @@ def test_report_over_the_int_str_digit_cap_prints_and_verifies(capsys, tmp_path)
     )
     assert rc == 0
     assert doc == {"checked": len(sols.splitlines()), "verified": True}
+
+
+def test_search_runs_serially_by_default(capsys, monkeypatch):
+    argv = ROOT2 + ["search", "--K", "3", "--N-max", "14", "--a-max", "4"]
+    rc, pooled = run(capsys, argv + ["--threads", "2"])
+    assert rc == 0 and pooled
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the default search must not start a process pool")
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    rc, serial = run(capsys, argv)
+    assert rc == 0
+    assert serial == pooled
+
+
+def _verify_with_report(capsys, tmp_path, doc):
+    sols_path = tmp_path / "solutions.jsonl"
+    sols_path.write_text('{"y":"2","a":2,"N":[1,1],"value":"4"}\n', encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ROOT2 + ["verify", "--solutions", str(sols_path), "--report", str(report_path)]
+    return run_doc(capsys, argv, "error.schema.json")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"case": "maybe"},
+        {"ledger": {"c10": {"lo": "7", "hi": "7"}}},
+        {"ledger": {"C12": {"lo": "0.5", "hi": "0.5"}}},
+    ],
+    ids=["unknown-case", "c10-floor", "C12-floor"],
+)
+def test_verify_rejects_reports_no_pipeline_can_produce(capsys, tmp_path, change):
+    rc, report = run(capsys, ROOT2 + ["bounds", "y", "--K", "2", "--y", "2"])
+    assert rc == 0
+    doc = json.loads(report)
+    for key, value in change.items():
+        doc[key] = dict(doc[key], **value) if isinstance(value, dict) else value
+    rc, err = _verify_with_report(capsys, tmp_path, doc)
+    assert rc == 3 and err["error"] == "invalid-input"

@@ -7,18 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cfpow.cfrac import binet_data, expand
-from cfpow.errors import InputError
-from cfpow.heights import (
-    delta3_height_bound,
-    delta5_height_bound,
-    height_combine,
-    height_poly_bound,
-    height_power,
-    height_quadratic,
-    height_rational,
-    log_plus,
-)
+from cfpow.errors import InputError, ToolkitError
+from cfpow.heights import delta3_height_bound, height_quadratic, height_rational, log_plus
 from cfpow.quadfield import DyadicInterval, QuadNum, make_quadnum
+import oracles
+from oracles import delta5_height_bound, height_combine, height_poly_bound, height_power
 
 LOG2 = 0.6931471805599453
 LOG3 = 1.0986122886681098
@@ -254,3 +247,10 @@ def test_delta5_intermediate_below_final():
         assert z.intermediate.value.lo <= z.final.value.hi
         r = delta5_height_bound(v, gaps, "radix", b=7)
         assert r.intermediate.value.lo <= r.final.value.hi
+
+
+def test_delta5_domination_failure_is_an_explicit_error(monkeypatch):
+    # an intermediate bound above the final one raises, also under python -O
+    monkeypatch.setattr(oracles, "log_plus", lambda b, bits: DyadicInterval.from_int(0, bits))
+    with pytest.raises(ToolkitError):
+        delta5_height_bound(3, (0, 2, 4), "radix", b=10)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cfpow import linforms
 from cfpow.errors import (
     G2LDomainError,
     InputError,
@@ -12,16 +13,14 @@ from cfpow.errors import (
 )
 from cfpow.linforms import (
     LinFormInstance,
-    a_majorant,
     clamp_a,
     escalate,
-    log_from_gamma,
     matveev_gamma_bound,
     matveev_lambda_bound,
-    pw_largest_root,
     pw_transfer,
 )
 from cfpow.quadfield import DyadicInterval
+from oracles import a_majorant, log_from_gamma, pw_largest_root
 
 A_FLOOR = Fraction(4, 25)
 
@@ -222,4 +221,28 @@ def test_escalate_doubles_until_success():
 
 def test_escalate_exhausts_honestly():
     with pytest.raises(PrecisionError):
-        escalate(lambda bits: None, 64, rounds=3)
+        escalate(lambda bits: None, 64)
+
+
+def test_escalate_caps_at_five_doublings():
+    calls = []
+
+    def builder(bits):
+        calls.append(bits)
+
+    with pytest.raises(PrecisionError, match="4096 bits"):
+        escalate(builder, 128, what="probe")
+    assert calls == [128, 256, 512, 1024, 2048, 4096]
+
+
+def test_undecided_transfer_precondition_is_a_pw_precondition_error(monkeypatch):
+    calls = []
+
+    def undecided(c, g, bits):
+        calls.append(bits)
+
+    monkeypatch.setattr(linforms, "_pw_precondition_status", undecided)
+    with pytest.raises(PWPreconditionError) as info:
+        pw_transfer(0, 2, 100)
+    assert info.value.code == "pw-precondition"
+    assert calls == [128, 256, 512, 1024, 2048, 4096]

@@ -7,24 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfpow.cfrac import convergents, expand
-from cfpow.errors import InputError, PrecisionError
+from cfpow import numeration
+from cfpow.errors import InputError, PrecisionError, ToolkitError
 from cfpow.numeration import (
     OstrowskiRep,
     RadixRep,
     ZeckendorfRep,
-    fib_bounds_check,
     fibonacci,
     ostrowski_decode,
     ostrowski_encode,
     ostrowski_validate,
-    partition_sum,
     radix_decode,
     radix_encode,
-    zeckendorf_canonicalize,
     zeckendorf_decode,
     zeckendorf_encode,
 )
 from cfpow.quadfield import make_quadnum
+from oracles import fib_bounds_check, partition_sum, zeckendorf_canonicalize
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +136,19 @@ def test_ostrowski_rejects_noncanonical_forms(mixed_cf):
     # equality at position i requires a zero below it
     assert ostrowski_validate(OstrowskiRep((0, 1)), mixed_cf)
     assert not ostrowski_validate(OstrowskiRep((1, 1)), mixed_cf)
+
+
+@pytest.mark.parametrize("side", ["_digit_conditions", "_partial_sums_bounded"])
+def test_ostrowski_characterisations_must_agree(mixed_cf, monkeypatch, side):
+    # the two characterisations are cross-checked by an explicit error,
+    # which survives python -O where an assert would not
+    original = getattr(numeration, side)
+    monkeypatch.setattr(numeration, side, lambda *args: not original(*args))
+    with pytest.raises(ToolkitError) as info:
+        ostrowski_validate(OstrowskiRep((2, 0, 1)), mixed_cf)
+    assert info.value.code == "error"
+    with pytest.raises(ToolkitError):
+        ostrowski_validate(OstrowskiRep((0, 2)), mixed_cf)
 
 
 def test_ostrowski_zero(mixed_cf):

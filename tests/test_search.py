@@ -362,3 +362,17 @@ def test_verify_bounds_rejects_shrunk_report(golden_cf_local):
         rep, n1_bound=zero, a_bound=zero, log_ya_bound=zero, case="below_N0"
     )
     assert not verify_bounds(sols, shrunk, bd)
+
+
+def test_verify_bounds_escalates_to_4096_bits_then_fails(golden_cf_local):
+    from cfpow.cfrac import binet_data
+
+    bd = binet_data(golden_cf_local)
+    sol = Solution(2, 2, (3, 0), 4)  # q_3 + q_0 = 3 + 1
+    rep = theorem_y_bound(bd, 2, 2)
+    at_4096 = DyadicInterval.from_int(2, 4096).log() * DyadicInterval.from_int(2, 4096)
+    reached = dataclasses.replace(rep, log_ya_bound=DyadicInterval(at_4096.hi, at_4096.hi))
+    assert verify_bounds([sol], reached, bd)
+    inside = (DyadicInterval.from_int(2, 8192).log() * 2).midpoint()
+    undecided = dataclasses.replace(rep, log_ya_bound=DyadicInterval(inside, inside))
+    assert not verify_bounds([sol], undecided, bd)
