@@ -27,7 +27,7 @@ from .errors import InapplicableError, InputError, PrecisionError, WalkPathError
 from .heights import delta3_height_bound, height_quadratic, log_plus
 from .linforms import LinFormInstance, clamp_a, matveev_gamma_bound, matveev_lambda_bound, pw_transfer
 from .numeration import fibonacci
-from .quadfield import DyadicInterval, QuadNum, decimal_to_fraction, dyadic_decimal_str, make_quadnum
+from .quadfield import DyadicInterval, QuadNum, decimal_to_fraction, dyadic_decimal_str
 
 _CASES = ("main", "gamma_equals_one", "k_equals_one", "below_N0")
 
@@ -258,7 +258,7 @@ def elementary_constants(
     c6 = c5 / log2
     inv_c4 = log_plus(one / _pos(bd.c4, "c4"), bits)
 
-    phi = make_quadnum(Fraction(1, 2), Fraction(1, 2), 5)
+    phi = QuadNum(Fraction(1, 2), Fraction(1, 2), 5)
     phi_enc = phi.enclose(bits)
     log_phi = phi_enc.log()
     c7 = c8 = c7p = c8p = b_enc = None
@@ -279,8 +279,8 @@ def elementary_constants(
 
     # per-gap height envelope of the truncated subsequence sum (K summands
     # of multiplicity one), and the two-sided log envelope of its value
-    d3_unit = delta3_height_bound(K, (1,) * K, (0,) * K, bd, bits).unit_coefficient
-    h_t1 = height_quadratic(bd.theta1, bits).value
+    d3 = delta3_height_bound(K, (1,) * K, (0,) * K, bd, bits)
+    d3_unit, h_t1 = d3.unit_coefficient, d3.theta1_height
     l_delta3 = _abs_log(c1min).max(_abs_log(c1max * K))
 
     # known-base pipeline: degree-2 form in three logarithms; the digit
@@ -300,7 +300,7 @@ def elementary_constants(
     # walk pipeline: degree-5 form; per-node factors v, w and the two gap
     # terms stay symbolic, only the uniform coefficient enters c11
     if variant == "zeckendorf":
-        h_sqrt5 = height_quadratic(make_quadnum(0, 1, 5), bits).value
+        h_sqrt5 = height_quadratic(QuadNum(0, 1, 5), bits).value
         h_phi = height_quadratic(phi, bits).value
         a_slots = (
             clamp_a(h_sqrt5 * 4),

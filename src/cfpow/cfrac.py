@@ -19,10 +19,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import InputError, NonQuadraticError, PeriodCapError, PrecisionError
-from .quadfield import DEFAULT_PRECISION, DyadicInterval, QuadNum, make_quadnum
+from .quadfield import DEFAULT_PRECISION, DyadicInterval, QuadNum
 
 __all__ = [
     "ContinuedFraction",
@@ -32,6 +32,8 @@ __all__ = [
     "convergents",
     "binet_data",
 ]
+
+PERIOD_CAP = N0_CAP = 10**6  # states expand tries, sandwich indices binet_data tries
 
 
 @dataclass(frozen=True)
@@ -99,13 +101,11 @@ class ContinuedFraction:
         }
 
 
-def expand(alpha: QuadNum, period_cap: int = 10**6) -> ContinuedFraction:
+def expand(alpha: QuadNum) -> ContinuedFraction:
     """Continued fraction of a quadratic irrational, minimal (r, s)."""
     if alpha.degenerate:
         raise NonQuadraticError("rational input has a finite expansion; need b != 0")
-    den = lcm(alpha.a.denominator, alpha.b.denominator)
-    p = alpha.a.numerator * (den // alpha.a.denominator)
-    u = alpha.b.numerator * (den // alpha.b.denominator)
+    p, u, den = alpha.coords
     radicand = u * u * alpha.d
     if u > 0:
         P, Q = p, den
@@ -129,8 +129,8 @@ def expand(alpha: QuadNum, period_cap: int = 10**6) -> ContinuedFraction:
         if key in states:
             f = states[key]
             break
-        if len(states) > period_cap:
-            raise PeriodCapError(f"no period within {period_cap} states")
+        if len(states) > PERIOD_CAP:
+            raise PeriodCapError(f"no period within {PERIOD_CAP} states")
         states[key] = len(quots)
         a = floor_state(P, Q)
         quots.append(a)
@@ -220,29 +220,28 @@ class BinetData:
         }
 
 
-def binet_data(
-    cf: ContinuedFraction,
-    precision_bits: int = DEFAULT_PRECISION,
-    n0_cap: int = 10**6,
-) -> BinetData:
+def binet_data(cf: ContinuedFraction, precision_bits: int = DEFAULT_PRECISION) -> BinetData:
     r, s = cf.r, cf.s
     qs = cf.denominators(r + 2 * s)
     t = period_matrix_trace(cf)
     unit = -1 if s % 2 else 1
     disc = t * t - 4 * unit
-    theta1 = make_quadnum(Fraction(t, 2), Fraction(1, 2), disc)
-    if theta1.degenerate:
-        raise InputError(f"degenerate growth root: t={t}, s={s}")
+    # theta1 = (t + sqrt(disc))/2 is a unit of Q(alpha), so disc = m^2 d
+    d = cf.alpha.d
+    m = isqrt(max(disc, 0) // d)
+    if m == 0 or m * m * d != disc:
+        raise InputError(f"no growth root in Q(sqrt({d})): t={t}, s={s}, disc={disc}")
+    theta1 = QuadNum(Fraction(t, 2), Fraction(m, 2), d)
     theta2 = theta1.conjugate()
-    dtheta = theta1 - theta2
+    inv_dtheta = (theta1 - theta2).inverse()
     c1, c2 = [], []
     for j in range(s):
         q0, q1 = qs[j + r], qs[j + r + s]
-        c1.append((q1 - theta2 * q0) / dtheta)
-        c2.append((q1 - theta1 * q0) / dtheta)
+        c1.append((q1 - theta2 * q0) * inv_dtheta)
+        c2.append((q1 - theta1 * q0) * inv_dtheta)
     c3 = max(u + abs(v) for u, v in zip(c1, c2)).enclose(precision_bits)
     c4 = (min(c1) / 2).enclose(precision_bits)
-    n0 = _least_sandwich_index(theta1, theta2, c1, c2, n0_cap)
+    n0 = _least_sandwich_index(theta1, theta2, c1, c2)
     return BinetData(
         cf=cf,
         t_alpha=t,
@@ -261,7 +260,7 @@ def binet_data(
     )
 
 
-def _least_sandwich_index(theta1, theta2, c1, c2, cap: int) -> int:
+def _least_sandwich_index(theta1, theta2, c1, c2) -> int:
     """Smallest i with 2|c2[j]| |theta2|**i < c1[j] theta1**i for every j."""
     abs_t2 = abs(theta2)
     pow1 = theta1**0
@@ -272,7 +271,7 @@ def _least_sandwich_index(theta1, theta2, c1, c2, cap: int) -> int:
         if all((u * pow1 - w * pow2).sign() > 0 for w, u in targets):
             return i
         i += 1
-        if i > cap:
-            raise PrecisionError(f"sandwich index not found within {cap} steps")
+        if i > N0_CAP:
+            raise PrecisionError(f"sandwich index not found within {N0_CAP} steps")
         pow1 = pow1 * theta1
         pow2 = pow2 * abs_t2

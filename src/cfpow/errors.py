@@ -43,10 +43,6 @@ class PWPreconditionError(ToolkitError):
     code = "pw-precondition"
 
 
-class G2LDomainError(ToolkitError):
-    code = "g2l-domain"
-
-
 class WalkPathError(ToolkitError):
     code = "walk-malformed"
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InputError
 from .quadfield import DEFAULT_PRECISION, DyadicInterval, QuadNum
@@ -76,11 +76,10 @@ def height_rational(x, precision_bits: int = DEFAULT_PRECISION) -> HeightBound:
 
 def _minimal_poly(x: QuadNum) -> tuple[int, int, int]:
     """Primitive (d0, d1, d2) with d0 > 0 and d0 x^2 + d1 x + d2 = 0."""
-    trace = 2 * x.a
-    norm = x.a * x.a - x.b * x.b * x.d
-    den = lcm(trace.denominator, norm.denominator)
-    d0, d1, d2 = den, -(trace * den).numerator, (norm * den).numerator
-    g = gcd(d0, gcd(d1, d2))
+    # x = (A + B sqrt(d))/C is a root of C^2 X^2 - 2AC X + (A^2 - B^2 d)
+    A, B, C = x.coords
+    d0, d1, d2 = C * C, -2 * A * C, A * A - B * B * x.d
+    g = gcd(d0, d1, d2)  # d0 first: it is usually the small one
     return d0 // g, d1 // g, d2 // g
 
 
@@ -111,6 +110,7 @@ class Delta3Height:
     tight: HeightBound
     uniform: HeightBound
     unit_coefficient: DyadicInterval
+    theta1_height: DyadicInterval  # h(theta1), a term of unit_coefficient
 
 
 def delta3_height_bound(w: int, d, gaps, bd, precision_bits: int = DEFAULT_PRECISION) -> Delta3Height:
@@ -133,4 +133,4 @@ def delta3_height_bound(w: int, d, gaps, bd, precision_bits: int = DEFAULT_PRECI
     tight = h_c1_max * w + h_theta * gap_w + log_d
     unit = h_c1_max + h_theta + log_d
     uniform = unit * (w * max(gap_w, 1))
-    return Delta3Height(HeightBound(tight, "bound"), HeightBound(uniform, "bound"), unit)
+    return Delta3Height(HeightBound(tight, "bound"), HeightBound(uniform, "bound"), unit, h_theta)

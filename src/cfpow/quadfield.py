@@ -1,8 +1,9 @@
 """Exact arithmetic in real quadratic fields and certified dyadic intervals.
 
-Two value types live here.  ``QuadNum`` is an element a + b*sqrt(D) of a real
-quadratic field with exact rational coefficients; every predicate on it
-(sign, comparison, floor) is decided by integer arithmetic, never by floats.
+Two value types live here.  ``QuadNum`` is an element (A + B*sqrt(D))/C of a
+real quadratic field, stored as one normalised integer triple; every
+predicate on it (sign, comparison, floor) is decided by integer arithmetic,
+never by floats.
 ``DyadicInterval`` is a closed interval with dyadic-rational endpoints and
 outward rounding on every operation; it is the only path by which
 transcendental quantities (logarithms, e) enter the toolkit.
@@ -12,7 +13,8 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from math import isqrt, lcm
+from itertools import chain
+from math import gcd, isqrt
 
 from mpmath import libmp
 from mpmath.libmp import libmpi
@@ -34,17 +36,18 @@ TRIAL_DIVISION_BOUND = 10**6
 _FractionLike = (int, Fraction)
 
 
-def squarefree_split(d: int, bound: int = TRIAL_DIVISION_BOUND) -> tuple[int, int]:
+def squarefree_split(d: int) -> tuple[int, int]:
     """Write d = m**2 * f with f squarefree; returns (m, f).
 
-    Factors by trial division up to ``bound``.  A leftover cofactor larger
-    than bound**2 that is not a perfect square cannot be classified, and the
-    call fails with "cannot-factor" rather than guessing.
+    Factors by trial division up to ``TRIAL_DIVISION_BOUND``.  A leftover
+    cofactor larger than the bound squared that is not a perfect square
+    cannot be classified, and the call fails with "cannot-factor" rather
+    than guessing.
     """
     if d <= 0:
         raise InputError(f"expected a positive integer to split, got {d}")
     m, f, n = 1, 1, d
-    for p in _trial_primes(bound):
+    for p in chain((2,), range(3, TRIAL_DIVISION_BOUND + 1, 2)):
         if p * p > n:
             break
         if n % p:
@@ -60,49 +63,57 @@ def squarefree_split(d: int, bound: int = TRIAL_DIVISION_BOUND) -> tuple[int, in
         root = isqrt(n)
         if root * root == n:
             m *= root
-        elif n <= bound * bound:
+        elif n <= TRIAL_DIVISION_BOUND**2:
             f *= n  # no factor <= bound and n <= bound^2, so n is prime
         else:
             raise CannotFactorError(
-                f"cofactor {n} exceeds the trial-division bound squared ({bound}**2)"
+                f"cofactor {n} exceeds the trial-division bound squared ({TRIAL_DIVISION_BOUND}**2)"
             )
     return m, f
 
 
-def _trial_primes(bound: int):
-    yield 2
-    p = 3
-    while p <= bound:
-        yield p
-        p += 2
-
-
 class QuadNum:
-    """Exact element a + b*sqrt(d) of Q(sqrt(d)), d squarefree.
+    """Exact element (A + B*sqrt(d))/C of Q(sqrt(d)), d squarefree.
 
-    Construct through :func:`make_quadnum`, which extracts square parts and
-    folds perfect squares into the rational coefficient.  Values with b == 0
-    are degenerate (rational); a fully collapsed rational may carry d == 1.
+    Stored as one integer triple with C > 0 and gcd(A, B, C) == 1.  Build a
+    value of a known field with QuadNum(a, b, d); user input goes through
+    :func:`make_quadnum`, which splits off square parts of d.  Values with
+    B == 0 are degenerate (rational); a collapsed rational may carry d == 1.
     """
 
-    __slots__ = ("_a", "_b", "_d")
+    __slots__ = ("_A", "_B", "_C", "_d")
 
     def __init__(self, a: Fraction, b: Fraction, d: int):
-        a, b = Fraction(a), Fraction(b)
+        (p, q), (r, s) = Fraction(a).as_integer_ratio(), Fraction(b).as_integer_ratio()
         if d == 1:
-            if b != 0:
+            if r != 0:
                 raise InputError("d == 1 requires b == 0")
         elif d < 2:
             raise InputError(f"field parameter must be >= 2 (or 1 for rationals), got {d}")
-        self._a, self._b, self._d = a, b, d
+        self._set(p * s, r * q, q * s, d)
+
+    def _set(self, A: int, B: int, C: int, d: int) -> "QuadNum":
+        """The one normalisation: C > 0 and gcd(A, B, C) == 1."""
+        g = gcd(C, A, B) if C > 0 else -gcd(C, A, B)  # C first: it is usually the small one
+        self._A, self._B, self._C, self._d = (A, B, C, d) if g == 1 else (A // g, B // g, C // g, d)
+        return self
+
+    def _make(self, A: int, B: int, C: int) -> "QuadNum":
+        """(A + B*sqrt(d))/C in the field of self, normalised."""
+        return object.__new__(QuadNum)._set(A, B, C, self._d)
+
+    @property
+    def coords(self) -> tuple[int, int, int]:
+        """The normalised integer triple (A, B, C) of (A + B*sqrt(d))/C."""
+        return self._A, self._B, self._C
 
     @property
     def a(self) -> Fraction:
-        return self._a
+        return Fraction(self._A, self._C)
 
     @property
     def b(self) -> Fraction:
-        return self._b
+        return Fraction(self._B, self._C)
 
     @property
     def d(self) -> int:
@@ -111,21 +122,21 @@ class QuadNum:
     @property
     def degenerate(self) -> bool:
         """True when the value is rational."""
-        return self._b == 0
+        return self._B == 0
 
     # ----- field coercion -----
 
     def _match(self, other) -> tuple["QuadNum", "QuadNum"]:
         if isinstance(other, _FractionLike):
-            other = QuadNum(Fraction(other), Fraction(0), self._d)
-        elif not isinstance(other, QuadNum):
+            return self, QuadNum(other, 0, self._d)
+        if not isinstance(other, QuadNum):
             return NotImplemented, NotImplemented
         if self._d == other._d:
             return self, other
-        if other._b == 0:
-            return self, QuadNum(other._a, Fraction(0), self._d)
-        if self._b == 0:
-            return QuadNum(self._a, Fraction(0), other._d), other
+        if other._B == 0:
+            return self, self._make(other._A, 0, other._C)
+        if self._B == 0:
+            return other._make(self._A, 0, self._C), other
         raise MixedFieldError(
             f"cannot combine values from Q(sqrt({self._d})) and Q(sqrt({other._d}))"
         )
@@ -136,18 +147,18 @@ class QuadNum:
         x, y = self._match(other)
         if x is NotImplemented:
             return NotImplemented
-        return QuadNum(x._a + y._a, x._b + y._b, x._d)
+        return x._make(x._A * y._C + y._A * x._C, x._B * y._C + y._B * x._C, x._C * y._C)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadNum(-self._a, -self._b, self._d)
+        return self._make(-self._A, -self._B, self._C)
 
     def __sub__(self, other):
         x, y = self._match(other)
         if x is NotImplemented:
             return NotImplemented
-        return QuadNum(x._a - y._a, x._b - y._b, x._d)
+        return x._make(x._A * y._C - y._A * x._C, x._B * y._C - y._B * x._C, x._C * y._C)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -156,19 +167,20 @@ class QuadNum:
         x, y = self._match(other)
         if x is NotImplemented:
             return NotImplemented
-        return QuadNum(
-            x._a * y._a + x._b * y._b * x._d,
-            x._a * y._b + x._b * y._a,
-            x._d,
+        return x._make(
+            x._A * y._A + x._B * y._B * x._d,
+            x._A * y._B + x._B * y._A,
+            x._C * y._C,
         )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadNum":
-        n = self.norm()
+        # C / (A + B sqrt(d)) = C (A - B sqrt(d)) / (A^2 - B^2 d)
+        n = self._A * self._A - self._B * self._B * self._d
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        return QuadNum(self._a / n, -self._b / n, self._d)
+        return self._make(self._C * self._A, -self._C * self._B, n)
 
     def __truediv__(self, other):
         x, y = self._match(other)
@@ -184,7 +196,7 @@ class QuadNum:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = QuadNum(Fraction(1), Fraction(0), self._d)
+        result = self._make(1, 0, 1)
         base = self
         while n > 0:
             if n & 1:
@@ -196,13 +208,13 @@ class QuadNum:
     # ----- exact predicates -----
 
     def conjugate(self) -> "QuadNum":
-        return QuadNum(self._a, -self._b, self._d)
+        return self._make(self._A, -self._B, self._C)
 
     def norm(self) -> Fraction:
-        return self._a * self._a - self._b * self._b * self._d
+        return Fraction(self._A * self._A - self._B * self._B * self._d, self._C * self._C)
 
     def sign(self) -> int:
-        a, b = self._a, self._b
+        a, b = self._A, self._B  # C > 0 leaves the sign to A + B sqrt(d)
         if b == 0:
             return (a > 0) - (a < 0)
         if a == 0:
@@ -220,29 +232,26 @@ class QuadNum:
         return -self if self.sign() < 0 else self
 
     def floor(self) -> int:
-        if self._b == 0:
-            return self._a.numerator // self._a.denominator
-        c = lcm(self._a.denominator, self._b.denominator)
-        big_a = self._a.numerator * (c // self._a.denominator)
-        big_b = self._b.numerator * (c // self._b.denominator)
-        t = isqrt(big_b * big_b * self._d)
+        A, B, C = self.coords
+        if B == 0:
+            return A // C
+        t = isqrt(B * B * self._d)
         # floor(B sqrt(d)) for irrational B sqrt(d)
-        fl = t if big_b > 0 else -t - 1
-        return (big_a + fl) // c
+        fl = t if B > 0 else -t - 1
+        return (A + fl) // C
 
     def __eq__(self, other):
         if isinstance(other, _FractionLike):
-            return self._b == 0 and self._a == other
+            return self._B == 0 and self.a == other
         if not isinstance(other, QuadNum):
             return NotImplemented
-        if self._b == 0 and other._b == 0:
-            return self._a == other._a
-        return self._a == other._a and self._b == other._b and self._d == other._d
+        # equal triples of rationals are equal whatever their fields
+        return self.coords == other.coords and (self._B == 0 or self._d == other._d)
 
     def __hash__(self):
-        if self._b == 0:
-            return hash(self._a)
-        return hash((self._a, self._b, self._d))
+        if self._B == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self._d))
 
     def _cmp(self, other) -> int:
         x, y = self._match(other)
@@ -263,9 +272,9 @@ class QuadNum:
         return self._cmp(other) >= 0
 
     def __repr__(self):
-        if self._b == 0:
-            return f"QuadNum({self._a})"
-        return f"QuadNum({self._a} + {self._b}*sqrt({self._d}))"
+        if self._B == 0:
+            return f"QuadNum({self.a})"
+        return f"QuadNum({self.a} + {self.b}*sqrt({self._d}))"
 
     # ----- interval bridge -----
 
@@ -277,31 +286,25 @@ class QuadNum:
         """
         if precision_bits < 4:
             raise InputError("precision_bits must be at least 4")
-        if self._b == 0:
-            lo_r = hi_r = self._a
-        else:
-            b = self._b
-            b_bits = b.numerator.bit_length() - b.denominator.bit_length() + 1
-            k = precision_bits + 4 + max(0, b_bits)
-            s = isqrt(self._d << (2 * k))
-            root_lo = Fraction(s, 1 << k)
-            root_hi = Fraction(s + 1, 1 << k)
-            if b > 0:
-                lo_r = self._a + b * root_lo
-                hi_r = self._a + b * root_hi
-            else:
-                lo_r = self._a + b * root_hi
-                hi_r = self._a + b * root_lo
-        return DyadicInterval.from_endpoints(lo_r, hi_r, precision_bits)
+        A, B, C = self.coords
+        b = self.b
+        b_bits = b.numerator.bit_length() - b.denominator.bit_length() + 1
+        k = precision_bits + 4 + max(0, b_bits)
+        s = isqrt(self._d << (2 * k))
+        # sqrt(d) lies in [s, s + 1] / 2**k; for B == 0 both ends are A/C
+        at_s = (A << k) + B * s
+        lo, hi = (at_s, at_s + B) if B > 0 else (at_s + B, at_s)
+        return DyadicInterval.from_endpoints(Fraction(lo, C << k), Fraction(hi, C << k), precision_bits)
 
     # ----- JSON wire format -----
 
     def to_json(self) -> dict:
+        a, b = self.a, self.b
         return {
-            "a_num": str(self._a.numerator),
-            "a_den": str(self._a.denominator),
-            "b_num": str(self._b.numerator),
-            "b_den": str(self._b.denominator),
+            "a_num": str(a.numerator),
+            "a_den": str(a.denominator),
+            "b_num": str(b.numerator),
+            "b_den": str(b.denominator),
             "D": self._d,
         }
 
@@ -314,8 +317,8 @@ class QuadNum:
         )
 
 
-def make_quadnum(a, b, d: int, trial_bound: int = TRIAL_DIVISION_BOUND) -> QuadNum:
-    """Normalize a + b*sqrt(d) into canonical squarefree form.
+def make_quadnum(a, b, d: int) -> QuadNum:
+    """Normalize user input a + b*sqrt(d) into canonical squarefree form.
 
     d >= 2 is required.  Square parts of d fold into b; if d is a perfect
     square the value collapses to a rational (degenerate) QuadNum.
@@ -323,7 +326,7 @@ def make_quadnum(a, b, d: int, trial_bound: int = TRIAL_DIVISION_BOUND) -> QuadN
     a, b = Fraction(a), Fraction(b)
     if d < 2:
         raise InputError(f"expected d >= 2, got {d}")
-    m, f = squarefree_split(d, trial_bound)
+    m, f = squarefree_split(d)
     if f == 1:
         return QuadNum(a + b * m, Fraction(0), 1)
     return QuadNum(a, b * m, f)

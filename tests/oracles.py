@@ -12,11 +12,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from cfpow.cfrac import ContinuedFraction, period_matrix_trace
-from cfpow.errors import G2LDomainError, InputError, PrecisionError, ToolkitError
+from cfpow.errors import InputError, PrecisionError, ToolkitError
 from cfpow.heights import HeightBound, _log_int, _zero, height_quadratic, log_plus
 from cfpow.linforms import _A_FLOOR, _check_pw_args, _lift, pw_transfer
 from cfpow.numeration import ZeckendorfRep, fibonacci, zeckendorf_encode
 from cfpow.quadfield import DEFAULT_PRECISION, DyadicInterval, QuadNum, _round_up, make_quadnum
+
+
+class G2LDomainError(ToolkitError):
+    """log_from_gamma was asked for a point outside |x - 1| <= 1/2."""
+
+    code = "g2l-domain"
+
 
 # ----- linear forms -----
 
@@ -269,6 +276,13 @@ def fib_bounds_check(t: int, precision_bits: int = DEFAULT_PRECISION) -> bool:
 
 
 # ----- continued fractions -----
+
+
+def theta1_by_factoring(cf: ContinuedFraction) -> QuadNum:
+    """Growth root (t + sqrt(t^2 - 4(-1)^s))/2, field found by squarefree splitting."""
+    t = period_matrix_trace(cf)
+    unit = -1 if cf.s % 2 else 1
+    return make_quadnum(Fraction(t, 2), Fraction(1, 2), t * t - 4 * unit)
 
 
 def verify_shifted_recurrence(cf: ContinuedFraction, i_max: int, i_min: int | None = None) -> bool:

@@ -1,11 +1,13 @@
 """Continued fractions of quadratic irrationals and their denominator growth."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfpow import cfrac
 from cfpow.cfrac import (
     ContinuedFraction,
     binet_data,
@@ -15,7 +17,7 @@ from cfpow.cfrac import (
 )
 from cfpow.errors import InputError, NonQuadraticError
 from cfpow.quadfield import make_quadnum
-from oracles import verify_shifted_recurrence
+from oracles import theta1_by_factoring, verify_shifted_recurrence
 
 CLASSICAL_EXPANSIONS = [
     ((0, 1, 2), 1, (), (2,)),
@@ -174,6 +176,33 @@ def test_binet_identity_exact_small_indices():
                 assert lhs == qs[j + bd.r + bd.s * i]
                 pow1 = pow1 * bd.theta1
                 pow2 = pow2 * bd.theta2
+
+
+def test_binet_data_in_a_field_too_large_to_factor():
+    """sqrt(1008017)/7: the trace discriminant has a 19-digit cofactor."""
+    bd = binet_data(expand(make_quadnum(0, Fraction(1, 7), 1008017)))
+    assert bd.delta == 1008017 and bd.theta1.d == 1008017
+    assert bd.disc % bd.delta == 0
+    qs = convergents(bd.cf, bd.r + bd.s * 11)
+    for j in range(bd.s):
+        for i in range(11):
+            lhs = bd.c1[j] * bd.theta1**i - bd.c2[j] * bd.theta2**i
+            assert lhs == qs[j + bd.r + bd.s * i]
+
+
+def test_binet_data_rejects_a_trace_outside_the_field(monkeypatch):
+    cf = expand(make_quadnum(0, 1, 2))
+    # t = 5 with s = 1 gives disc = 29, which is no square times 2
+    monkeypatch.setattr(cfrac, "period_matrix_trace", lambda cf: 5)
+    with pytest.raises(InputError):
+        binet_data(cf)
+
+
+@settings(deadline=None)  # the oracle trial-divides up to 10**6
+@given(st.integers(min_value=2, max_value=3000).filter(lambda d: isqrt(d) ** 2 != d))
+def test_growth_root_matches_the_factoring_construction(d):
+    cf = expand(make_quadnum(0, 1, d))
+    assert binet_data(cf).theta1 == theta1_by_factoring(cf)
 
 
 def test_subseq_term_reads_prefix():

@@ -140,6 +140,15 @@ def test_bounds_y_report(capsys):
     assert doc["applicability"] == {"field_not_Q_sqrt5": True, "petho_preconditions_ok": True}
 
 
+@pytest.mark.parametrize(
+    "argv", [["cf", "binet"], ["bounds", "y", "--K", "2", "--y", "2"]], ids=["binet", "bounds-y"]
+)
+def test_field_too_large_to_factor_is_served(capsys, argv):
+    """sqrt(1008017)/7: the growth root is built in Q(alpha), never factored."""
+    rc, _ = run(capsys, ["--alpha", "0,1,7,1008017"] + argv)
+    assert rc == 0
+
+
 def test_bounds_ham_rejects_golden_field(capsys):
     rc, doc = run_doc(
         capsys, GOLDEN + ["bounds", "ham", "--K", "2", "--l", "2"], "error.schema.json"

@@ -1,7 +1,9 @@
-"""Every name that the package root or a cfpow module exports exists."""
+"""Package-wide checks: exported names exist, and no check is an assert."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +22,14 @@ def test_all_names_resolve(module_name):
     missing = [name for name in exported if not hasattr(importlib.import_module(module_name), name)]
     assert not missing, f"{module_name}.__all__ lists undefined names: {missing}"
     assert len(set(exported)) == len(exported)
+
+
+def test_no_assert_statements_in_the_library():
+    """python -O strips asserts, so no certified result may rest on one."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(cfpow.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in cfpow: {found}"

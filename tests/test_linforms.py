@@ -6,7 +6,6 @@ import pytest
 
 from cfpow import linforms
 from cfpow.errors import (
-    G2LDomainError,
     InputError,
     PrecisionError,
     PWPreconditionError,
@@ -20,7 +19,7 @@ from cfpow.linforms import (
     pw_transfer,
 )
 from cfpow.quadfield import DyadicInterval
-from oracles import a_majorant, log_from_gamma, pw_largest_root
+from oracles import G2LDomainError, a_majorant, log_from_gamma, pw_largest_root
 
 A_FLOOR = Fraction(4, 25)
 

@@ -89,6 +89,50 @@ def test_quadnum_d1_requires_rational():
         QuadNum(Fraction(1), Fraction(1), 1)
 
 
+# ----- the stored integer triple -----
+
+
+def _assert_normalised(x):
+    A, B, C = x.coords
+    assert C > 0 and math.gcd(A, B, C) == 1
+    assert (Fraction(A, C), Fraction(B, C)) == (x.a, x.b)
+
+
+def _fraction_formulas(x, y, d):
+    """Coordinates of x + y, x - y, x * y and x / y from the rational coordinates."""
+    a1, b1, a2, b2 = x.a, x.b, y.a, y.b
+    n = a2 * a2 - b2 * b2 * d
+    out = {
+        "+": (a1 + a2, b1 + b2),
+        "-": (a1 - a2, b1 - b2),
+        "*": (a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2),
+    }
+    if n != 0:
+        out["/"] = ((a1 * a2 - b1 * b2 * d) / n, (b1 * a2 - a1 * b2) / n)
+    return out
+
+
+@given(fields.flatmap(lambda d: st.tuples(st.just(d), quadnums(d), quadnums(d))))
+def test_arithmetic_matches_the_fraction_formulas(case):
+    d, x, y = case
+    expected = _fraction_formulas(x, y, d)
+    results = {"+": x + y, "-": x - y, "*": x * y}
+    if y != 0:
+        results["/"] = x / y
+    assert results.keys() == expected.keys()
+    for op, (a, b) in expected.items():
+        z = results[op]
+        _assert_normalised(z)
+        assert (z.a, z.b, z.d) == (a, b, d), op
+
+
+def test_coords_are_normalised():
+    x = QuadNum(Fraction(6, 4), Fraction(-9, 6), 7)
+    assert x.coords == (3, -3, 2)
+    assert QuadNum(0, 0, 7).coords == (0, 0, 1)
+    assert (x / -3).coords == (-1, 1, 2)
+
+
 # ----- ring structure -----
 
 
