@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, PrecisionError, PWPreconditionError
-from .quadfield import DEFAULT_PRECISION, DyadicInterval, _round_up
+from .quadfield import DEFAULT_PRECISION, DyadicInterval
 
 __all__ = [
     "LinFormInstance",
@@ -32,7 +32,7 @@ _MAX_DOUBLINGS = 5  # 128 bits escalate to at most 4096
 
 def clamp_a(x: DyadicInterval) -> DyadicInterval:
     """Raise an interval majorant onto the 0.16 floor (endpoints only go up)."""
-    floor = _round_up(_A_FLOOR, x.precision_bits)
+    floor = DyadicInterval.from_fraction(_A_FLOOR, x.precision_bits).hi
     if x.lo >= floor:
         return x
     return DyadicInterval(max(x.lo, floor), max(x.hi, floor), x.precision_bits)

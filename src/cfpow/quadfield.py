@@ -6,7 +6,10 @@ predicate on it (sign, comparison, floor) is decided by integer arithmetic,
 never by floats.
 ``DyadicInterval`` is a closed interval with dyadic-rational endpoints and
 outward rounding on every operation; it is the only path by which
-transcendental quantities (logarithms, e) enter the toolkit.
+transcendental quantities (logarithms, e) enter the toolkit.  Each endpoint
+is stored as an integer pair (m, e) meaning m * 2**e with m odd, so the
+kernel adds, multiplies, compares and rounds with shifts; ``lo`` and ``hi``
+are read-only Fraction views.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
-from math import gcd, isqrt
+from math import exp, gcd, isqrt, log
 
 from mpmath import libmp
 from mpmath.libmp import libmpi
@@ -335,37 +338,100 @@ def make_quadnum(a, b, d: int) -> QuadNum:
 # ---------------------------------------------------------------------------
 # Dyadic intervals
 # ---------------------------------------------------------------------------
+#
+# An endpoint is an integer pair (m, e) meaning m * 2**e, normalised so that
+# m is odd or (m, e) == (0, 0).  Sums and products of pairs may come out
+# unnormalised; rounding normalises them.
 
 
-def _is_dyadic(x: Fraction) -> bool:
+def _norm(m: int, e: int) -> tuple[int, int]:
+    if m & 1:
+        return m, e
+    if m == 0:
+        return 0, 0
+    t = (m & -m).bit_length() - 1
+    return m >> t, e + t
+
+
+def _pair(x) -> tuple[int, int] | None:
+    """The endpoint pair of an exact rational, or None when it is not dyadic.
+
+    A float is refused: the toolkit takes no decimal approximations.
+    """
+    if isinstance(x, int):
+        return _norm(x, 0)
+    if isinstance(x, float):
+        raise InputError(f"expected an exact int or Fraction, got the float {x!r}")
+    x = Fraction(x)
     d = x.denominator
-    return d & (d - 1) == 0
+    if d & (d - 1):
+        return None
+    return _norm(x.numerator, 1 - d.bit_length())
 
 
-def _round_down(x: Fraction, bits: int) -> Fraction:
-    """Largest dyadic on the bits-significant grid that is <= x."""
-    if x == 0:
-        return Fraction(0)
-    mag_exp = abs(x.numerator).bit_length() - x.denominator.bit_length()
-    g = bits - mag_exp
-    num, den = x.numerator, x.denominator
-    if g >= 0:
-        return Fraction((num << g) // den, 1 << g)
-    return Fraction((num // (den << -g)) << -g, 1)
+def _frac(p: tuple[int, int]) -> Fraction:
+    m, e = p
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
-def _round_up(x: Fraction, bits: int) -> Fraction:
-    return -_round_down(-x, bits)
+def _lt(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    (am, ae), (bm, be) = a, b
+    if ae <= be:
+        return am < bm << (be - ae)
+    return am << (ae - be) < bm
+
+
+def _add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """Exact sum, not normalised."""
+    (am, ae), (bm, be) = a, b
+    if not am or not bm:
+        return b if not am else a
+    if ae <= be:
+        return am + (bm << (be - ae)), ae
+    return (am << (ae - be)) + bm, be
+
+
+def _neg(p: tuple[int, int]) -> tuple[int, int]:
+    return -p[0], p[1]
+
+
+def _round_down(n: int, d: int, e: int, bits: int) -> tuple[int, int]:
+    """Largest dyadic <= (n/d) * 2**e on the bits-significant grid.
+
+    n/d is in lowest terms with d > 0, and e == 0 unless d == 1 or n and d
+    are odd, so that the grid step is 2**(bitlen|N| - bitlen(D) - bits) for
+    the reduced fraction N/D of the value.  With d == 1 any n is allowed.
+    """
+    s = bits + d.bit_length() - abs(n).bit_length()
+    if d == 1:
+        return _norm(n, e) if s >= 0 else _norm(n >> -s, e - s)
+    return _norm((n << s) // d if s >= 0 else n // (d << -s), e - s)
+
+
+def _round_up(n: int, d: int, e: int, bits: int) -> tuple[int, int]:
+    m, e = _round_down(-n, d, e, bits)
+    return -m, e
+
+
+def _check_order(lo, hi):
+    if _lt(hi, lo):
+        raise InputError(f"empty interval: lo={_frac(lo)} > hi={_frac(hi)}")
 
 
 def dyadic_decimal_str(x: Fraction) -> str:
     """Exact decimal representation of a dyadic rational."""
-    if not _is_dyadic(x):
+    p = _pair(x)
+    if p is None:
         raise InputError(f"not dyadic: {x}")
-    k = x.denominator.bit_length() - 1
-    if k == 0:
-        return _int_decimal_str(x.numerator)
-    scaled = x.numerator * 5**k
+    return _decimal_str(p)
+
+
+def _decimal_str(p: tuple[int, int]) -> str:
+    m, e = p
+    if e >= 0:
+        return _int_decimal_str(m << e)
+    k = -e
+    scaled = m * 5**k
     sign = "-" if scaled < 0 else ""
     digits = _int_decimal_str(abs(scaled)).rjust(k + 1, "0")
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
@@ -388,21 +454,23 @@ def decimal_to_fraction(text) -> Fraction:
         raise InputError(f"not a finite decimal: {text!r}") from None
 
 
-def _fraction_to_raw(x: Fraction):
-    """Exact mpmath raw mpf for a dyadic rational."""
-    k = x.denominator.bit_length() - 1
-    return libmp.from_man_exp(x.numerator, -k)
-
-
-def _raw_to_fraction(t) -> Fraction:
+def _mpf_pair(t) -> tuple[int, int]:
     sign, man, exp, _ = t
-    man = int(man)
-    if man == 0:
-        if exp != 0:  # inf/nan sentinel
-            raise PrecisionError("interval kernel returned a non-finite endpoint")
-        return Fraction(0)
-    v = Fraction(man << exp, 1) if exp >= 0 else Fraction(man, 1 << -exp)
-    return -v if sign else v
+    if not man and exp:  # inf/nan sentinel
+        raise PrecisionError("interval kernel returned a non-finite endpoint")
+    return (-int(man) if sign else int(man)), exp
+
+
+def _iv(lo: tuple[int, int], hi: tuple[int, int], bits: int) -> "DyadicInterval":
+    """An interval from pairs the class built itself: no validation."""
+    iv = object.__new__(DyadicInterval)
+    iv._lo, iv._hi, iv.precision_bits = lo, hi, bits
+    return iv
+
+
+def _out(lo: tuple[int, int], hi: tuple[int, int], bits: int) -> "DyadicInterval":
+    """Round exact dyadic endpoints outward onto the bits-significant grid."""
+    return _iv(_round_down(lo[0], 1, lo[1], bits), _round_up(hi[0], 1, hi[1], bits), bits)
 
 
 class DyadicInterval:
@@ -411,39 +479,40 @@ class DyadicInterval:
     ``precision_bits`` is the significance kept by rounding steps; it also
     sets the working precision of the log/exp kernels.  All operations are
     conservative: the exact result of the operation on any members of the
-    inputs lies inside the output.
+    inputs lies inside the output.  Endpoints are stored as integer pairs;
+    ``lo`` and ``hi`` are read-only Fraction views of them.
     """
 
-    __slots__ = ("lo", "hi", "precision_bits")
+    __slots__ = ("_lo", "_hi", "precision_bits")
 
     def __init__(self, lo: Fraction, hi: Fraction, precision_bits: int = DEFAULT_PRECISION):
-        lo, hi = Fraction(lo), Fraction(hi)
-        if not (_is_dyadic(lo) and _is_dyadic(hi)):
+        lo, hi = _pair(lo), _pair(hi)
+        if lo is None or hi is None:
             raise InputError("endpoints must be dyadic rationals")
-        if lo > hi:
-            raise InputError(f"empty interval: lo={lo} > hi={hi}")
-        self.lo, self.hi, self.precision_bits = lo, hi, precision_bits
+        _check_order(lo, hi)
+        self._lo, self._hi, self.precision_bits = lo, hi, precision_bits
 
     # ----- constructors -----
 
     @classmethod
     def from_int(cls, n: int, precision_bits: int = DEFAULT_PRECISION) -> "DyadicInterval":
-        f = Fraction(n)
-        return cls(f, f, precision_bits)
+        return cls(n, n, precision_bits)
 
     @classmethod
     def from_fraction(cls, x, precision_bits: int = DEFAULT_PRECISION) -> "DyadicInterval":
-        x = Fraction(x)
-        if _is_dyadic(x):
-            return cls(x, x, precision_bits)
-        return cls(_round_down(x, precision_bits), _round_up(x, precision_bits), precision_bits)
+        return cls.from_endpoints(x, x, precision_bits)
 
     @classmethod
     def from_endpoints(cls, lo, hi, precision_bits: int = DEFAULT_PRECISION) -> "DyadicInterval":
-        lo, hi = Fraction(lo), Fraction(hi)
-        dlo = lo if _is_dyadic(lo) else _round_down(lo, precision_bits)
-        dhi = hi if _is_dyadic(hi) else _round_up(hi, precision_bits)
-        return cls(dlo, dhi, precision_bits)
+        plo, phi = _pair(lo), _pair(hi)
+        if plo is None:
+            lo = Fraction(lo)
+            plo = _round_down(lo.numerator, lo.denominator, 0, precision_bits)
+        if phi is None:
+            hi = Fraction(hi)
+            phi = _round_up(hi.numerator, hi.denominator, 0, precision_bits)
+        _check_order(plo, phi)
+        return _iv(plo, phi, precision_bits)
 
     # ----- helpers -----
 
@@ -454,8 +523,19 @@ class DyadicInterval:
             return DyadicInterval.from_fraction(other, self.precision_bits)
         return NotImplemented
 
-    def _out(self, lo: Fraction, hi: Fraction, bits: int) -> "DyadicInterval":
-        return DyadicInterval(_round_down(lo, bits), _round_up(hi, bits), bits)
+    def _operand(self, other) -> "DyadicInterval":
+        o = self._lift(other)
+        if o is NotImplemented:
+            raise TypeError(f"expected a DyadicInterval, int or Fraction, got {type(other).__name__}")
+        return o
+
+    @property
+    def lo(self) -> Fraction:
+        return _frac(self._lo)
+
+    @property
+    def hi(self) -> Fraction:
+        return _frac(self._hi)
 
     @property
     def width(self) -> Fraction:
@@ -475,19 +555,19 @@ class DyadicInterval:
         if o is NotImplemented:
             return NotImplemented
         bits = min(self.precision_bits, o.precision_bits)
-        return self._out(self.lo + o.lo, self.hi + o.hi, bits)
+        return _out(_add(self._lo, o._lo), _add(self._hi, o._hi), bits)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DyadicInterval(-self.hi, -self.lo, self.precision_bits)
+        return _iv(_neg(self._hi), _neg(self._lo), self.precision_bits)
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
         bits = min(self.precision_bits, o.precision_bits)
-        return self._out(self.lo - o.hi, self.hi - o.lo, bits)
+        return _out(_add(self._lo, _neg(o._hi)), _add(self._hi, _neg(o._lo)), bits)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -497,8 +577,16 @@ class DyadicInterval:
         if o is NotImplemented:
             return NotImplemented
         bits = min(self.precision_bits, o.precision_bits)
-        products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return self._out(min(products), max(products), bits)
+        (alm, ale), (ahm, ahe), (blm, ble), (bhm, bhe) = self._lo, self._hi, o._lo, o._hi
+        if alm >= 0 and blm >= 0:
+            return _out((alm * blm, ale + ble), (ahm * bhm, ahe + bhe), bits)
+        lo = hi = (alm * blm, ale + ble)
+        for p in ((alm * bhm, ale + bhe), (ahm * blm, ahe + ble), (ahm * bhm, ahe + bhe)):
+            if _lt(p, lo):
+                lo = p
+            elif _lt(hi, p):
+                hi = p
+        return _out(lo, hi, bits)
 
     __rmul__ = __mul__
 
@@ -506,11 +594,24 @@ class DyadicInterval:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        if o.lo <= 0 <= o.hi:
+        if o._lo[0] <= 0 <= o._hi[0]:
             raise ZeroDivisionError("division by an interval containing zero")
         bits = min(self.precision_bits, o.precision_bits)
-        quots = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
-        return self._out(min(quots), max(quots), bits)
+        # (n, d, e) is (n/d) * 2**e with d > 0; pick the exact extremes first
+        # and round once, because rounding a non-dyadic value is not monotone
+        quots = []
+        for n, ne in (self._lo, self._hi):
+            for d, de in (o._lo, o._hi):
+                quots.append((-n, -d, ne - de) if d < 0 else (n, d, ne - de))
+        lo = hi = quots[0]
+        for q in quots[1:]:
+            if _lt((q[0] * lo[1], q[2]), (lo[0] * q[1], lo[2])):
+                lo = q
+            elif _lt((hi[0] * q[1], hi[2]), (q[0] * hi[1], q[2])):
+                hi = q
+        (ln, ld, le), (hn, hd, he) = lo, hi
+        g, h = gcd(ln, ld), gcd(hn, hd)
+        return _iv(_round_down(ln // g, ld // g, le, bits), _round_up(hn // h, hd // h, he, bits), bits)
 
     def __rtruediv__(self, other):
         o = self._lift(other)
@@ -519,22 +620,21 @@ class DyadicInterval:
         return o.__truediv__(self)
 
     def __abs__(self):
-        if self.lo >= 0:
+        if self._lo[0] >= 0:
             return self
-        if self.hi <= 0:
+        if self._hi[0] <= 0:
             return -self
-        return DyadicInterval(Fraction(0), max(-self.lo, self.hi), self.precision_bits)
+        m = self._hi if _lt(_neg(self._lo), self._hi) else _neg(self._lo)
+        return _iv((0, 0), m, self.precision_bits)
 
     def powi(self, n: int) -> "DyadicInterval":
         """n-th power, n any integer; even powers respect sign crossings."""
-        if n == 0 or self.lo == self.hi == 1:  # the walk raises the point 1 to Fibonacci powers
+        if n == 0 or self._lo == self._hi == (1, 0):  # the walk raises the point 1 to Fibonacci powers
             return DyadicInterval.from_int(1, self.precision_bits)
         if n < 0:
             return 1 / self.powi(-n)
-        if n % 2 == 0 and self.lo < 0 <= self.hi:
-            m = max(-self.lo, self.hi)
-            body = DyadicInterval(Fraction(0), m, self.precision_bits).powi(n)
-            return body
+        if n % 2 == 0 and self._lo[0] < 0 <= self._hi[0]:
+            return abs(self).powi(n)
         result = DyadicInterval.from_int(1, self.precision_bits)
         base = self
         while n > 0:
@@ -548,50 +648,54 @@ class DyadicInterval:
         """n-th root (n >= 2) via directed integer root extraction."""
         if n < 2:
             raise InputError("root index must be >= 2")
-        if self.lo < 0:
+        if self._lo[0] < 0:
             raise InputError("root of an interval reaching below zero")
         bits = self.precision_bits
-        return DyadicInterval(
-            _dyadic_root_down(self.lo, n, bits), _dyadic_root_up(self.hi, n, bits), bits
-        )
+        t = bits + 4
+        return _iv(_root_pair(self._lo, n, t, False), _root_pair(self._hi, n, t, True), bits)
 
     def sqrt(self) -> "DyadicInterval":
         return self.root(2)
 
     def log(self) -> "DyadicInterval":
         """Natural logarithm; requires lo > 0."""
-        if self.lo <= 0:
+        if self._lo[0] <= 0:
             raise InputError("log of an interval reaching zero or below")
-        bits = self.precision_bits
-        raw = libmpi.mpi_log((_fraction_to_raw(self.lo), _fraction_to_raw(self.hi)), bits + 16)
-        return self._out(_raw_to_fraction(raw[0]), _raw_to_fraction(raw[1]), bits)
+        return self._kernel(libmpi.mpi_log)
 
     def exp(self) -> "DyadicInterval":
+        return self._kernel(libmpi.mpi_exp)
+
+    def _kernel(self, f) -> "DyadicInterval":
         bits = self.precision_bits
-        raw = libmpi.mpi_exp((_fraction_to_raw(self.lo), _fraction_to_raw(self.hi)), bits + 16)
-        return self._out(_raw_to_fraction(raw[0]), _raw_to_fraction(raw[1]), bits)
+        raw = f((libmp.from_man_exp(*self._lo), libmp.from_man_exp(*self._hi)), bits + 16)
+        return _out(_mpf_pair(raw[0]), _mpf_pair(raw[1]), bits)
 
     # ----- lattice -----
 
     def max(self, other) -> "DyadicInterval":
-        o = self._lift(other)
+        o = self._operand(other)
         bits = min(self.precision_bits, o.precision_bits)
-        return DyadicInterval(max(self.lo, o.lo), max(self.hi, o.hi), bits)
+        lo = o._lo if _lt(self._lo, o._lo) else self._lo
+        hi = o._hi if _lt(self._hi, o._hi) else self._hi
+        return _iv(lo, hi, bits)
 
     def min(self, other) -> "DyadicInterval":
-        o = self._lift(other)
+        o = self._operand(other)
         bits = min(self.precision_bits, o.precision_bits)
-        return DyadicInterval(min(self.lo, o.lo), min(self.hi, o.hi), bits)
+        lo = o._lo if _lt(o._lo, self._lo) else self._lo
+        hi = o._hi if _lt(o._hi, self._hi) else self._hi
+        return _iv(lo, hi, bits)
 
     # ----- certified comparisons (None = indeterminate) -----
 
     def compare(self, other) -> int | None:
-        o = self._lift(other)
-        if self.hi < o.lo:
+        o = self._operand(other)
+        if _lt(self._hi, o._lo):
             return -1
-        if self.lo > o.hi:
+        if _lt(o._hi, self._lo):
             return 1
-        if self.lo == self.hi == o.lo == o.hi:
+        if self._lo == self._hi == o._lo == o._hi:
             return 0
         return None
 
@@ -602,56 +706,63 @@ class DyadicInterval:
         return self.compare(other) == 1
 
     def definitely_le(self, other) -> bool:
-        o = self._lift(other)
-        return self.hi <= o.lo
+        return not _lt(self._operand(other)._lo, self._hi)
 
     def definitely_ge(self, other) -> bool:
-        o = self._lift(other)
-        return self.lo >= o.hi
+        return not _lt(self._lo, self._operand(other)._hi)
 
     def __repr__(self):
-        return f"DyadicInterval({float(self.lo)!r}, {float(self.hi)!r}, bits={self.precision_bits})"
+        lo, hi = (libmp.to_str(libmp.from_man_exp(*p), 17) for p in (self._lo, self._hi))
+        return f"DyadicInterval({lo}, {hi}, bits={self.precision_bits})"
 
     def to_json(self) -> dict:
-        return {"lo": dyadic_decimal_str(self.lo), "hi": dyadic_decimal_str(self.hi)}
+        return {"lo": _decimal_str(self._lo), "hi": _decimal_str(self._hi)}
 
 
 def _int_nthroot(m: int, n: int) -> int:
-    """floor(m ** (1/n)) for m >= 0 by Newton iteration on integers."""
+    """floor(m ** (1/n)) for m >= 0 by Newton iteration on integers.
+
+    From any start at or above the floor root the iteration descends to it.
+    The start is one above the floor root of m's top bits, which carries
+    about half the root's bits and is found the same way (Brent and
+    Zimmermann, Modern Computer Arithmetic, 1.5.2).  Roots of at most 48
+    bits start from a float estimate and one unconditional Newton step,
+    which lands at or above the floor root by the AM-GM inequality.
+    """
     if m < 0:
         raise InputError("negative radicand")
-    if m == 0:
-        return 0
-    if n == 1:
+    if m < 2 or n == 1:
         return m
     if n == 2:
         return isqrt(m)
-    x = 1 << (-(-m.bit_length() // n))  # >= true root
+    size = (m.bit_length() - 1) // n + 1  # bit length of the root
+    if size == 1:
+        return 1
+    top = (size + n.bit_length()) // 2 + 2  # enough that one step leaves an error < 1
+    if size <= 48 or top >= size:
+        x = int(exp(log(m) / n)) + 1
+        x = ((n - 1) * x + m // x ** (n - 1)) // n
+    else:
+        shift = size - top
+        x = (_int_nthroot(m >> (n * shift), n) + 1) << shift
     while True:
         y = ((n - 1) * x + m // x ** (n - 1)) // n
         if y >= x:
-            break
+            return x
         x = y
-    return x
 
 
-def _dyadic_root_down(x: Fraction, n: int, bits: int) -> Fraction:
-    if x == 0:
-        return Fraction(0)
-    t = bits + 4
-    den = x.denominator
-    m = (x.numerator << (n * t)) // den
-    return Fraction(_int_nthroot(m, n), 1 << t)
-
-
-def _dyadic_root_up(x: Fraction, n: int, bits: int) -> Fraction:
-    if x == 0:
-        return Fraction(0)
-    t = bits + 4
-    den = x.denominator
-    num = x.numerator << (n * t)
-    m = -(-num // den)
+def _root_pair(p: tuple[int, int], n: int, t: int, up: bool) -> tuple[int, int]:
+    """p**(1/n) rounded down (up) to a multiple of 2**-t."""
+    m, e = p
+    k = e + n * t
+    if k >= 0:
+        m <<= k
+    elif up:
+        m = -(-m >> -k)
+    else:
+        m >>= -k
     r = _int_nthroot(m, n)
-    if r**n < m:
+    if up and r**n < m:
         r += 1
-    return Fraction(r, 1 << t)
+    return _norm(r, -t)

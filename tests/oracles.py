@@ -3,20 +3,33 @@
 The library keeps what a bound pipeline, the search or the CLI runs; these
 helpers exist to state and check properties of it (height calculus rules,
 the delta5 tail envelope, the transfer lemma's true root, the shifted
-denominator recurrence, Fibonacci growth, index partitions).
+denominator recurrence, Fibonacci growth, index partitions) or to check it
+against an earlier implementation (the Fraction-endpoint interval kernel and
+its Newton root).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
+
+from mpmath import libmp
+from mpmath.libmp import libmpi
 
 from cfpow.cfrac import ContinuedFraction, period_matrix_trace
 from cfpow.errors import InputError, PrecisionError, ToolkitError
 from cfpow.heights import HeightBound, _log_int, _zero, height_quadratic, log_plus
 from cfpow.linforms import _A_FLOOR, _check_pw_args, _lift, pw_transfer
 from cfpow.numeration import ZeckendorfRep, fibonacci, zeckendorf_encode
-from cfpow.quadfield import DEFAULT_PRECISION, DyadicInterval, QuadNum, _round_up, make_quadnum
+from cfpow.quadfield import (
+    DEFAULT_PRECISION,
+    DyadicInterval,
+    QuadNum,
+    _FractionLike,
+    dyadic_decimal_str,
+    make_quadnum,
+)
 
 
 class G2LDomainError(ToolkitError):
@@ -34,7 +47,7 @@ def a_majorant(x, precision_bits: int = DEFAULT_PRECISION) -> DyadicInterval:
     0.16 itself is not dyadic, so majorants touching the floor must round
     up; overshooting a majorant is sound, undershooting is not.
     """
-    v = _round_up(max(Fraction(x), _A_FLOOR), precision_bits)
+    v = DyadicInterval.from_fraction(max(Fraction(x), _A_FLOOR), precision_bits).hi
     return DyadicInterval(v, v, precision_bits)
 
 
@@ -295,3 +308,300 @@ def verify_shifted_recurrence(cf: ContinuedFraction, i_max: int, i_min: int | No
     unit = -1 if s % 2 else 1
     qs = cf.denominators(i_max + 2 * s)
     return all(qs[i + 2 * s] == t * qs[i + s] - unit * qs[i] for i in range(lo, i_max + 1))
+
+
+# ----- the interval kernel before integer endpoints -----
+#
+# The differential oracle for cfpow.quadfield.DyadicInterval: the same
+# operations on Fraction endpoints, with Fraction rounding and the Newton
+# root from a power-of-two start.
+
+
+def _is_dyadic(x: Fraction) -> bool:
+    d = x.denominator
+    return d & (d - 1) == 0
+
+
+def _round_down(x: Fraction, bits: int) -> Fraction:
+    """Largest dyadic on the bits-significant grid that is <= x."""
+    if x == 0:
+        return Fraction(0)
+    mag_exp = abs(x.numerator).bit_length() - x.denominator.bit_length()
+    g = bits - mag_exp
+    num, den = x.numerator, x.denominator
+    if g >= 0:
+        return Fraction((num << g) // den, 1 << g)
+    return Fraction((num // (den << -g)) << -g, 1)
+
+
+def _round_up(x: Fraction, bits: int) -> Fraction:
+    return -_round_down(-x, bits)
+
+
+def _fraction_to_raw(x: Fraction):
+    """Exact mpmath raw mpf for a dyadic rational."""
+    k = x.denominator.bit_length() - 1
+    return libmp.from_man_exp(x.numerator, -k)
+
+
+def _raw_to_fraction(t) -> Fraction:
+    sign, man, exp, _ = t
+    man = int(man)
+    if man == 0:
+        if exp != 0:  # inf/nan sentinel
+            raise PrecisionError("interval kernel returned a non-finite endpoint")
+        return Fraction(0)
+    v = Fraction(man << exp, 1) if exp >= 0 else Fraction(man, 1 << -exp)
+    return -v if sign else v
+
+
+class FractionInterval:
+    """Closed interval [lo, hi] with dyadic endpoints, outward rounding.
+
+    ``precision_bits`` is the significance kept by rounding steps; it also
+    sets the working precision of the log/exp kernels.  All operations are
+    conservative: the exact result of the operation on any members of the
+    inputs lies inside the output.
+    """
+
+    __slots__ = ("lo", "hi", "precision_bits")
+
+    def __init__(self, lo: Fraction, hi: Fraction, precision_bits: int = DEFAULT_PRECISION):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if not (_is_dyadic(lo) and _is_dyadic(hi)):
+            raise InputError("endpoints must be dyadic rationals")
+        if lo > hi:
+            raise InputError(f"empty interval: lo={lo} > hi={hi}")
+        self.lo, self.hi, self.precision_bits = lo, hi, precision_bits
+
+    # ----- constructors -----
+
+    @classmethod
+    def from_int(cls, n: int, precision_bits: int = DEFAULT_PRECISION) -> "FractionInterval":
+        f = Fraction(n)
+        return cls(f, f, precision_bits)
+
+    @classmethod
+    def from_fraction(cls, x, precision_bits: int = DEFAULT_PRECISION) -> "FractionInterval":
+        x = Fraction(x)
+        if _is_dyadic(x):
+            return cls(x, x, precision_bits)
+        return cls(_round_down(x, precision_bits), _round_up(x, precision_bits), precision_bits)
+
+    @classmethod
+    def from_endpoints(cls, lo, hi, precision_bits: int = DEFAULT_PRECISION) -> "FractionInterval":
+        lo, hi = Fraction(lo), Fraction(hi)
+        dlo = lo if _is_dyadic(lo) else _round_down(lo, precision_bits)
+        dhi = hi if _is_dyadic(hi) else _round_up(hi, precision_bits)
+        return cls(dlo, dhi, precision_bits)
+
+    # ----- helpers -----
+
+    def _lift(self, other) -> "FractionInterval":
+        if isinstance(other, FractionInterval):
+            return other
+        if isinstance(other, _FractionLike):
+            return FractionInterval.from_fraction(other, self.precision_bits)
+        return NotImplemented
+
+    def _out(self, lo: Fraction, hi: Fraction, bits: int) -> "FractionInterval":
+        return FractionInterval(_round_down(lo, bits), _round_up(hi, bits), bits)
+
+    @property
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    def midpoint(self) -> Fraction:
+        return (self.lo + self.hi) / 2
+
+    def contains(self, x) -> bool:
+        x = Fraction(x)
+        return self.lo <= x <= self.hi
+
+    # ----- arithmetic -----
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        bits = min(self.precision_bits, o.precision_bits)
+        return self._out(self.lo + o.lo, self.hi + o.hi, bits)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionInterval(-self.hi, -self.lo, self.precision_bits)
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        bits = min(self.precision_bits, o.precision_bits)
+        return self._out(self.lo - o.hi, self.hi - o.lo, bits)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        bits = min(self.precision_bits, o.precision_bits)
+        products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
+        return self._out(min(products), max(products), bits)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if o.lo <= 0 <= o.hi:
+            raise ZeroDivisionError("division by an interval containing zero")
+        bits = min(self.precision_bits, o.precision_bits)
+        quots = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
+        return self._out(min(quots), max(quots), bits)
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o.__truediv__(self)
+
+    def __abs__(self):
+        if self.lo >= 0:
+            return self
+        if self.hi <= 0:
+            return -self
+        return FractionInterval(Fraction(0), max(-self.lo, self.hi), self.precision_bits)
+
+    def powi(self, n: int) -> "FractionInterval":
+        """n-th power, n any integer; even powers respect sign crossings."""
+        if n == 0 or self.lo == self.hi == 1:  # the walk raises the point 1 to Fibonacci powers
+            return FractionInterval.from_int(1, self.precision_bits)
+        if n < 0:
+            return 1 / self.powi(-n)
+        if n % 2 == 0 and self.lo < 0 <= self.hi:
+            m = max(-self.lo, self.hi)
+            body = FractionInterval(Fraction(0), m, self.precision_bits).powi(n)
+            return body
+        result = FractionInterval.from_int(1, self.precision_bits)
+        base = self
+        while n > 0:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def root(self, n: int) -> "FractionInterval":
+        """n-th root (n >= 2) via directed integer root extraction."""
+        if n < 2:
+            raise InputError("root index must be >= 2")
+        if self.lo < 0:
+            raise InputError("root of an interval reaching below zero")
+        bits = self.precision_bits
+        return FractionInterval(
+            _dyadic_root_down(self.lo, n, bits), _dyadic_root_up(self.hi, n, bits), bits
+        )
+
+    def sqrt(self) -> "FractionInterval":
+        return self.root(2)
+
+    def log(self) -> "FractionInterval":
+        """Natural logarithm; requires lo > 0."""
+        if self.lo <= 0:
+            raise InputError("log of an interval reaching zero or below")
+        bits = self.precision_bits
+        raw = libmpi.mpi_log((_fraction_to_raw(self.lo), _fraction_to_raw(self.hi)), bits + 16)
+        return self._out(_raw_to_fraction(raw[0]), _raw_to_fraction(raw[1]), bits)
+
+    def exp(self) -> "FractionInterval":
+        bits = self.precision_bits
+        raw = libmpi.mpi_exp((_fraction_to_raw(self.lo), _fraction_to_raw(self.hi)), bits + 16)
+        return self._out(_raw_to_fraction(raw[0]), _raw_to_fraction(raw[1]), bits)
+
+    # ----- lattice -----
+
+    def max(self, other) -> "FractionInterval":
+        o = self._lift(other)
+        bits = min(self.precision_bits, o.precision_bits)
+        return FractionInterval(max(self.lo, o.lo), max(self.hi, o.hi), bits)
+
+    def min(self, other) -> "FractionInterval":
+        o = self._lift(other)
+        bits = min(self.precision_bits, o.precision_bits)
+        return FractionInterval(min(self.lo, o.lo), min(self.hi, o.hi), bits)
+
+    # ----- certified comparisons (None = indeterminate) -----
+
+    def compare(self, other) -> int | None:
+        o = self._lift(other)
+        if self.hi < o.lo:
+            return -1
+        if self.lo > o.hi:
+            return 1
+        if self.lo == self.hi == o.lo == o.hi:
+            return 0
+        return None
+
+    def definitely_lt(self, other) -> bool:
+        return self.compare(other) == -1
+
+    def definitely_gt(self, other) -> bool:
+        return self.compare(other) == 1
+
+    def definitely_le(self, other) -> bool:
+        o = self._lift(other)
+        return self.hi <= o.lo
+
+    def definitely_ge(self, other) -> bool:
+        o = self._lift(other)
+        return self.lo >= o.hi
+
+    def __repr__(self):
+        return f"FractionInterval({float(self.lo)!r}, {float(self.hi)!r}, bits={self.precision_bits})"
+
+    def to_json(self) -> dict:
+        return {"lo": dyadic_decimal_str(self.lo), "hi": dyadic_decimal_str(self.hi)}
+
+
+def newton_nthroot(m: int, n: int) -> int:
+    """floor(m ** (1/n)) for m >= 0 by Newton iteration on integers."""
+    if m < 0:
+        raise InputError("negative radicand")
+    if m == 0:
+        return 0
+    if n == 1:
+        return m
+    if n == 2:
+        return isqrt(m)
+    x = 1 << (-(-m.bit_length() // n))  # >= true root
+    while True:
+        y = ((n - 1) * x + m // x ** (n - 1)) // n
+        if y >= x:
+            break
+        x = y
+    return x
+
+
+def _dyadic_root_down(x: Fraction, n: int, bits: int) -> Fraction:
+    if x == 0:
+        return Fraction(0)
+    t = bits + 4
+    den = x.denominator
+    m = (x.numerator << (n * t)) // den
+    return Fraction(newton_nthroot(m, n), 1 << t)
+
+
+def _dyadic_root_up(x: Fraction, n: int, bits: int) -> Fraction:
+    if x == 0:
+        return Fraction(0)
+    t = bits + 4
+    den = x.denominator
+    num = x.numerator << (n * t)
+    m = -(-num // den)
+    r = newton_nthroot(m, n)
+    if r**n < m:
+        r += 1
+    return Fraction(r, 1 << t)
