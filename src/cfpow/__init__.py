@@ -4,7 +4,6 @@ convergent denominators of real quadratic irrationals."""
 from .bounds import (
     BoundReport,
     ConstantLedger,
-    WalkState,
     elementary_constants,
     nonvanishing_check,
     petho_preconditions,
@@ -12,26 +11,11 @@ from .bounds import (
     theorem_ham_bound,
     theorem_y_bound,
     walk_closed_form,
-    walk_simulate,
 )
 from .cfrac import BinetData, ContinuedFraction, binet_data, convergents, expand
-from .numeration import (
-    ostrowski_decode,
-    ostrowski_encode,
-    radix_decode,
-    radix_encode,
-    zeckendorf_decode,
-    zeckendorf_encode,
-)
+from .numeration import ostrowski_decode, ostrowski_encode, radix_encode, zeckendorf_encode
 from .quadfield import DyadicInterval, QuadNum, make_quadnum
-from .search import (
-    SearchRange,
-    Solution,
-    enumerate_solutions,
-    filter_by_weight,
-    is_perfect_power,
-    verify_bounds,
-)
+from .search import SearchRange, Solution, enumerate_solutions, filter_by_weight, verify_bounds
 
 __version__ = "0.1.0"
 
@@ -47,23 +31,18 @@ __all__ = [
     "ostrowski_encode",
     "ostrowski_decode",
     "zeckendorf_encode",
-    "zeckendorf_decode",
     "radix_encode",
-    "radix_decode",
     "ConstantLedger",
     "BoundReport",
-    "WalkState",
     "elementary_constants",
     "petho_preconditions",
     "nonvanishing_check",
     "theorem_y_bound",
     "theorem_ham_bound",
     "theorem_ham2_bound",
-    "walk_simulate",
     "walk_closed_form",
     "Solution",
     "SearchRange",
-    "is_perfect_power",
     "enumerate_solutions",
     "filter_by_weight",
     "verify_bounds",

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .cfrac import BinetData
-from .errors import InapplicableError, InputError, PrecisionError, WalkPathError
+from .errors import InapplicableError, InputError, PrecisionError
 from .heights import delta3_height_bound, height_quadratic, log_plus
 from .linforms import LinFormInstance, clamp_a, matveev_gamma_bound, matveev_lambda_bound, pw_transfer
 from .numeration import fibonacci
@@ -33,7 +33,7 @@ _CASES = ("main", "gamma_equals_one", "k_equals_one", "below_N0")
 
 
 def _pos(x: DyadicInterval, what: str) -> DyadicInterval:
-    if x.lo <= 0:
+    if not x.definitely_gt(0):
         raise PrecisionError(f"enclosure of {what} touches zero; raise the precision")
     return x
 
@@ -75,10 +75,10 @@ class ConstantLedger:
         # both floors are what lets the transfer lemma and the walk run at all
         bits = max(self.c10.precision_bits, 64)
         floor = _exp2(bits) / DyadicInterval.from_int(2, bits).log()
-        if not self.c10.lo > floor.hi:
+        if not self.c10.definitely_gt(floor):
             raise InputError("c10 must exceed e^2/log 2")
         log3 = DyadicInterval.from_int(3, bits).log()
-        if not (self.C12 * log3).lo >= 1:
+        if not (self.C12 * log3).definitely_ge(1):
             raise InputError("C12 too small: the walk seed u(1) would drop below u(0)")
 
     def to_json(self) -> dict:
@@ -117,7 +117,7 @@ class BoundReport:
             raise InputError(f"unknown report case {self.case!r}")
         if self.case == "main":
             for value in (self.n1_bound, self.a_bound, self.log_ya_bound):
-                if not value.lo > 0:
+                if not value.definitely_gt(0):
                     raise InputError("main-case bounds must be positive")
 
     def to_json(self) -> dict:
@@ -157,39 +157,6 @@ class BoundReport:
             raise InputError(f"malformed report: {exc!r}") from None
 
 
-@dataclass(frozen=True)
-class WalkState:
-    """Grid-walk snapshot: step index, double counter, bound sequence."""
-
-    j: int
-    v: int
-    w: int
-    u: tuple
-
-    def __post_init__(self):
-        if self.v + self.w != self.j + 3:
-            raise InputError("walk counter out of sync: v + w must equal j + 3")
-        if len(self.u) != self.j + 1:
-            raise InputError("walk bound sequence must carry one entry per step")
-        if not _walk_value_is_one(self.u[0]):
-            raise InputError("walk bound sequence must start at 1")
-        for prev, cur in zip(self.u, self.u[1:]):
-            if not _walk_value_ge(cur, prev):
-                raise InputError("walk bound sequence must be non-decreasing")
-
-
-def _walk_value_is_one(x) -> bool:
-    if isinstance(x, DyadicInterval):
-        return x.lo == 1 and x.hi == 1
-    return x == 1
-
-
-def _walk_value_ge(x, y) -> bool:
-    if isinstance(x, DyadicInterval):
-        return x.lo >= y.lo and x.hi >= y.hi
-    return x >= y
-
-
 def petho_preconditions(bd: BinetData) -> bool:
     """Exact-integer check of the single-denominator routing hypotheses.
 
@@ -221,8 +188,13 @@ def _abs_log(x: DyadicInterval) -> DyadicInterval:
     return abs(x.log())
 
 
-def _c2_abs_max(bd: BinetData) -> QuadNum:
-    return max(abs(c) for c in bd.c2)
+def _growth_enclosures(bd: BinetData) -> tuple[DyadicInterval, DyadicInterval, DyadicInterval]:
+    """theta1, min_j c1 and max_j |c2|, each certified positive."""
+    bits = bd.precision_bits
+    theta1 = _pos(bd.theta1.enclose(bits), "theta1")
+    c1min = _pos(bd.c4 * 2, "min_j c1")
+    c2max = _pos(max(abs(c) for c in bd.c2).enclose(bits), "max_j |c2|")
+    return theta1, c1min, c2max
 
 
 def elementary_constants(
@@ -247,11 +219,9 @@ def elementary_constants(
     one = DyadicInterval.from_int(1, bits)
     log2 = DyadicInterval.from_int(2, bits).log()
     log3 = DyadicInterval.from_int(3, bits).log()
-    theta1 = _pos(bd.theta1.enclose(bits), "theta1")
+    theta1, c1min, c2max = _growth_enclosures(bd)
     log_t1 = theta1.log()
-    c1min = _pos(bd.c4 * 2, "min_j c1")
     c1max = _pos(max(bd.c1).enclose(bits), "max_j c1")
-    c2max = _pos(_c2_abs_max(bd).enclose(bits), "max_j |c2|")
     c3 = bd.c3
 
     c5 = log_plus(c3 * K, bits) + log_t1
@@ -342,18 +312,23 @@ def elementary_constants(
     )
 
 
-def _degenerate_branch(bd: BinetData, K: int) -> DyadicInterval:
-    """Subscript bound when a truncated linear form vanishes exactly.
+def _degenerate_branches(bd: BinetData, K: int) -> list[tuple[DyadicInterval, str]]:
+    """Candidate subscript bounds for the cases the linear forms miss.
 
-    Vanishing forces the power to equal a conjugate-side sum, which is
-    bounded, so the subscript is capped by an elementary logarithm ratio
-    (possibly negative; callers fold it through a max).
+    A truncated linear form that vanishes exactly forces the power to
+    equal a conjugate-side sum, which is bounded, so the subscript is
+    capped by an elementary logarithm ratio (possibly negative; the max
+    fold absorbs it).  A subscript below the sandwich threshold N0, or
+    below 3, is not covered by the main case, so both floors are
+    candidates too.
     """
     bits = bd.precision_bits
-    c2max = _pos(_c2_abs_max(bd).enclose(bits), "max_j |c2|")
-    c1min = _pos(bd.c4 * 2, "min_j c1")
-    theta1 = _pos(bd.theta1.enclose(bits), "theta1")
-    return (c2max * K / c1min).log() / theta1.log()
+    theta1, c1min, c2max = _growth_enclosures(bd)
+    return [
+        ((c2max * K / c1min).log() / theta1.log(), "gamma_equals_one"),
+        (DyadicInterval.from_int(bd.N0, bits), "below_N0"),
+        (DyadicInterval.from_int(3, bits), "below_N0"),
+    ]
 
 
 def _resolve(candidates) -> tuple[DyadicInterval, str]:
@@ -400,81 +375,8 @@ def theorem_y_bound(bd: BinetData, K: int, y: int) -> BoundReport:
         bound_k = pw_transfer(0, k, g, bits)
         candidates.append((bound_k, "main"))
         per_k.append((k, bound_k))
-    candidates.append((_degenerate_branch(bd, K), "gamma_equals_one"))
-    candidates.append((DyadicInterval.from_int(bd.N0, bits), "below_N0"))
-    candidates.append((DyadicInterval.from_int(3, bits), "below_N0"))
+    candidates += _degenerate_branches(bd, K)
     return _finish_report(bd, led, candidates, per_k)
-
-
-def walk_simulate(k: int, ell: int, C12, log_n1, path="worst") -> WalkState:
-    """Run the double-indexed grid walk and return its bound sequence.
-
-    The counter starts at (2, 2); each move increments one coordinate,
-    capped one past its grid size, and u(j) multiplies the two previous
-    bounds by C12 (v_j - 1)(w_j - 1) log n1.  ``path`` is a sequence of
-    "down"/"right" moves, or "worst" to maximize the final bound over
-    every saturating path.  Exact rational inputs are propagated
-    exactly; interval inputs propagate as intervals.
-    """
-    if k < 2 or ell < 2:
-        raise InputError(f"walk needs k >= 2 and ell >= 2, got k={k}, ell={ell}")
-    c, g = _walk_inputs(C12, log_n1)
-    if isinstance(c, DyadicInterval):
-        seed_ok = (c * g).lo >= 1
-        u0 = DyadicInterval.from_int(1, c.precision_bits)
-    else:
-        seed_ok = c * g >= 1
-        u0 = Fraction(1)
-    if not seed_ok:
-        raise InputError("walk needs C12 * log_n1 >= 1 so the bound sequence is monotone")
-
-    def run(moves):
-        v, w, j = 2, 2, 1
-        u = [u0, c * g]
-        for move in moves:
-            if move == "down":
-                v += 1
-            elif move == "right":
-                w += 1
-            else:
-                raise WalkPathError(f"unknown move {move!r}")
-            if v > ell + 1 or w > k + 1:
-                raise WalkPathError("move past the grid boundary")
-            j += 1
-            u.append(c * (v - 1) * (w - 1) * u[-1] * u[-2] * g)
-        return WalkState(j=j, v=v, w=w, u=tuple(u))
-
-    if isinstance(path, str):
-        if path != "worst":
-            raise WalkPathError(f"path must be a move sequence or 'worst', got {path!r}")
-        best = None
-        # saturating paths interleave ell-1 downs with k-1 rights; ties keep
-        # the first (down-first) candidate
-        def explore(moves, downs, rights):
-            nonlocal best
-            if downs == ell - 1 and rights == k - 1:
-                state = run(moves)
-                if best is None or _walk_value_gt(state.u[-1], best.u[-1]):
-                    best = state
-                return
-            if downs < ell - 1:
-                explore(moves + ["down"], downs + 1, rights)
-            if rights < k - 1:
-                explore(moves + ["right"], downs, rights + 1)
-
-        explore([], 0, 0)
-        return best
-
-    moves = list(path)
-    if len(moves) > k + ell - 1:
-        raise WalkPathError(f"path longer than {k + ell - 1} moves cannot stay on the grid")
-    return run(moves)
-
-
-def _walk_value_gt(x, y) -> bool:
-    if isinstance(x, DyadicInterval):
-        return (x.hi, x.lo) > (y.hi, y.lo)
-    return x > y
 
 
 def _walk_inputs(C12, log_n1):
@@ -529,22 +431,15 @@ def _walk_pipeline(bd: BinetData, K: int, ell: int, variant: str, b: int | None)
     led = elementary_constants(bd, K, variant, b=b)
     bits = bd.precision_bits
     log3 = DyadicInterval.from_int(3, bits).log()
-    degenerate = _degenerate_branch(bd, K)
-    n0_branch = DyadicInterval.from_int(bd.N0, bits)
-    floor3 = DyadicInterval.from_int(3, bits)
+    degenerate = _degenerate_branches(bd, K)
 
     if K == 1:
         # a single repeated denominator couples both subscripts circularly;
         # only the degenerate branches are certified here and the case label
         # marks the report as conditional on the single-denominator routing
-        candidates = [
-            (degenerate, "k_equals_one"),
-            (n0_branch, "k_equals_one"),
-            (floor3, "k_equals_one"),
-        ]
-        return _finish_report(bd, led, candidates, [])
+        return _finish_report(bd, led, [(value, "k_equals_one") for value, _ in degenerate], [])
 
-    trivial_floor = degenerate.max(n0_branch).max(floor3)
+    trivial_floor, _ = _resolve(degenerate)
     log_b = None if variant == "zeckendorf" else led.b.log()
     candidates = []
     per_k = []
@@ -567,10 +462,7 @@ def _walk_pipeline(bd: BinetData, K: int, ell: int, variant: str, b: int | None)
         candidates.append((right, "main"))
         candidates.append((bottom, "main"))
         per_k.append((k, right.max(bottom)))
-    candidates.append((degenerate, "gamma_equals_one"))
-    candidates.append((n0_branch, "below_N0"))
-    candidates.append((floor3, "below_N0"))
-    return _finish_report(bd, led, candidates, per_k)
+    return _finish_report(bd, led, candidates + degenerate, per_k)
 
 
 def theorem_ham_bound(bd: BinetData, K: int, ell: int) -> BoundReport:

@@ -191,7 +191,7 @@ def _run(args, stream) -> int:
     elif cmd == "search":
         cf = _require_alpha(args)
         rng = SearchRange(args.N_max, args.a_max, args.K)
-        sols = enumerate_solutions(cf, rng, threads=max(args.threads, 1), budget=args.budget)
+        sols = enumerate_solutions(cf, rng, threads=args.threads, budget=args.budget)
         if args.filter_zeckendorf is not None:
             sols = filter_by_weight(sols, "zeckendorf", args.filter_zeckendorf)
         elif args.filter_radix is not None:

@@ -43,10 +43,6 @@ class PWPreconditionError(ToolkitError):
     code = "pw-precondition"
 
 
-class WalkPathError(ToolkitError):
-    code = "walk-malformed"
-
-
 class BudgetExceededError(ToolkitError):
     """Search budget ran out; carries the work finished so far.
 

@@ -1,4 +1,4 @@
-"""Absolute logarithmic heights of rationals and quadratic numbers.
+"""Absolute logarithmic heights of quadratic numbers.
 
 Heights come back as ``HeightBound`` values: a certified interval plus a
 `kind` flag saying whether the interval encloses the height itself
@@ -23,7 +23,6 @@ __all__ = [
     "HeightBound",
     "Delta3Height",
     "log_plus",
-    "height_rational",
     "height_quadratic",
     "delta3_height_bound",
 ]
@@ -37,12 +36,8 @@ class HeightBound:
     def __post_init__(self):
         if self.kind not in ("exact", "bound"):
             raise InputError(f"bad kind {self.kind!r}")
-        if self.value.lo < 0:
-            object.__setattr__(
-                self,
-                "value",
-                DyadicInterval(Fraction(0), max(self.value.hi, Fraction(0)), self.value.precision_bits),
-            )
+        if not self.value.definitely_ge(0):
+            object.__setattr__(self, "value", self.value.max(0))
 
     def to_json(self) -> dict:
         return {"value": self.value.to_json(), "kind": self.kind}
@@ -67,13 +62,6 @@ def log_plus(x, precision_bits: int = DEFAULT_PRECISION) -> DyadicInterval:
     return DyadicInterval.from_fraction(max(Fraction(x), 3), precision_bits).log()
 
 
-def height_rational(x, precision_bits: int = DEFAULT_PRECISION) -> HeightBound:
-    """h(p/q) = log max(|p|, q), exact."""
-    x = Fraction(x)
-    m = max(abs(x.numerator), x.denominator)
-    return HeightBound(_log_int(m, precision_bits), "exact")
-
-
 def _minimal_poly(x: QuadNum) -> tuple[int, int, int]:
     """Primitive (d0, d1, d2) with d0 > 0 and d0 x^2 + d1 x + d2 = 0."""
     # x = (A + B sqrt(d))/C is a root of C^2 X^2 - 2AC X + (A^2 - B^2 d)
@@ -85,7 +73,7 @@ def _minimal_poly(x: QuadNum) -> tuple[int, int, int]:
 
 def height_quadratic(x: QuadNum, precision_bits: int = DEFAULT_PRECISION) -> HeightBound:
     if x.degenerate:
-        raise InputError("degenerate input: use height_rational")
+        raise InputError("degenerate input: the height of a rational p/q is log max(|p|, q)")
     d0, _, _ = _minimal_poly(x)
     outside = QuadNum(Fraction(1), Fraction(0), x.d)
     for root in (x, x.conjugate()):

@@ -80,7 +80,7 @@ class LinFormInstance:
         for j, aj in enumerate(self.A):
             if aj.lo < _A_FLOOR:
                 raise InputError(f"A[{j}] must be >= 0.16, got lower endpoint {float(aj.lo)}")
-        if self.B.lo < 1:
+        if not self.B.definitely_ge(1):
             raise InputError("B must be >= 1")
 
 
@@ -108,30 +108,23 @@ def matveev_lambda_bound(inst: LinFormInstance) -> DyadicInterval:
     return -_matveev_product(inst, Fraction(2), inst.T + 4, 12)
 
 
-def _check_pw_args(a, c, g):
-    if isinstance(a, DyadicInterval):
-        if a.lo < 0:
-            raise InputError("a must be >= 0")
-    elif Fraction(a) < 0:
+def _check_pw_args(a, c) -> Fraction:
+    """c as a Fraction, once a >= 0 and c >= 1 are checked."""
+    if Fraction(a) < 0:
         raise InputError("a must be >= 0")
-    c_frac = None
-    if not isinstance(c, DyadicInterval):
-        c_frac = Fraction(c)
-        if c_frac < 1:
-            raise InputError("c must be >= 1")
-    elif c.lo < 1:
+    c_frac = Fraction(c)
+    if c_frac < 1:
         raise InputError("c must be >= 1")
     return c_frac
 
 
-def _pw_precondition_status(c, g, bits: int):
+def _pw_precondition_status(c: Fraction, g, bits: int):
     """1 if g > (e^2/c)^c holds, -1 if it fails, None if undecided."""
     g_i = _lift(g, bits)
-    if g_i.lo <= 0:
+    if not g_i.definitely_gt(0):
         return -1
-    c_frac = None if isinstance(c, DyadicInterval) else Fraction(c)
-    if c_frac is not None and c_frac.denominator == 1:
-        n = c_frac.numerator
+    if c.denominator == 1:
+        n = c.numerator
         lhs = g_i * n**n
         rhs = DyadicInterval.from_int(2 * n, bits).exp()
     else:
@@ -146,7 +139,7 @@ def _pw_precondition_status(c, g, bits: int):
     return None
 
 
-def _require_pw_precondition(c, g, precision_bits: int):
+def _require_pw_precondition(c: Fraction, g, precision_bits: int):
     try:
         status = escalate(lambda bits: _pw_precondition_status(c, g, bits), precision_bits, "g > (e^2/c)^c")
     except PrecisionError as exc:
@@ -162,33 +155,32 @@ def _root_nonneg(x: DyadicInterval, n: int) -> DyadicInterval:
 
 
 def _pow_pos(x: DyadicInterval, e: DyadicInterval) -> DyadicInterval:
-    """x**e for x with x.lo >= 0 and e.lo > 0, via exp(e log x)."""
-    if x.hi == 0:
+    """x**e for the point 0 or an x with x.lo > 0, and e.lo > 0, via exp(e log x)."""
+    if x.definitely_le(0):
         return DyadicInterval.from_int(0, x.precision_bits)
-    if x.lo == 0:
-        top = (DyadicInterval(x.hi, x.hi, x.precision_bits).log() * e).exp()
-        return DyadicInterval(Fraction(0), top.hi, x.precision_bits)
     return (x.log() * e).exp()
 
 
 def pw_transfer(a, c, g, precision_bits: int = DEFAULT_PRECISION) -> DyadicInterval:
-    """Bound 2^c (a^{1/c} + g^{1/c} log(c^c g))^c on solutions of x = a + g(log x)^c."""
-    c_frac = _check_pw_args(a, c, g)
-    _require_pw_precondition(c, g, precision_bits)
+    """Bound 2^c (a^{1/c} + g^{1/c} log(c^c g))^c on solutions of x = a + g(log x)^c.
+
+    ``a`` and ``c`` are exact (int or Fraction); ``g`` may be an interval.
+    An exact a > 0 encloses with a positive lower endpoint, so the a-term
+    is either the point 0 or a root of a positive interval.
+    """
+    c_frac = _check_pw_args(a, c)
+    _require_pw_precondition(c_frac, g, precision_bits)
     bits = precision_bits
     a_i, g_i = _lift(a, bits), _lift(g, bits)
-    if c_frac is not None and c_frac.denominator == 1:
+    if c_frac.denominator == 1:
         n = c_frac.numerator
-        if a_i.hi == 0:
+        if a_i.definitely_le(0):
             term_a = DyadicInterval.from_int(0, bits)
-        elif a_i.lo == 0:
-            up = _root_nonneg(DyadicInterval(a_i.hi, a_i.hi, bits), n)
-            term_a = DyadicInterval(Fraction(0), up.hi, bits)
         else:
             term_a = _root_nonneg(a_i, n)
         inner = term_a + _root_nonneg(g_i, n) * (g_i * n**n).log()
         return inner.powi(n) * 2**n
-    c_i = _lift(c, bits)
+    c_i = _lift(c_frac, bits)
     inv_c = 1 / c_i
     log_g = g_i.log()
     inner = _pow_pos(a_i, inv_c) + _pow_pos(g_i, inv_c) * (c_i * c_i.log() + log_g)

@@ -23,9 +23,7 @@ __all__ = [
     "ostrowski_decode",
     "ostrowski_validate",
     "zeckendorf_encode",
-    "zeckendorf_decode",
     "radix_encode",
-    "radix_decode",
     "fibonacci",
 ]
 
@@ -135,10 +133,6 @@ def zeckendorf_encode(y: int) -> ZeckendorfRep:
     return ZeckendorfRep(tuple(indices))
 
 
-def zeckendorf_decode(rep: ZeckendorfRep) -> int:
-    return sum(fibonacci(m) for m in rep.indices)
-
-
 def radix_encode(y: int, b: int) -> RadixRep:
     if y < 1:
         raise InputError("y must be >= 1")
@@ -156,7 +150,3 @@ def radix_encode(y: int, b: int) -> RadixRep:
     positions.reverse()
     digits.reverse()
     return RadixRep(b, tuple(positions), tuple(digits))
-
-
-def radix_decode(rep: RadixRep) -> int:
-    return sum(d * rep.base**m for d, m in zip(rep.digits, rep.positions))

@@ -2,7 +2,7 @@
 
 Two value types live here.  ``QuadNum`` is an element (A + B*sqrt(D))/C of a
 real quadratic field, stored as one normalised integer triple; every
-predicate on it (sign, comparison, floor) is decided by integer arithmetic,
+predicate on it (sign, comparison) is decided by integer arithmetic,
 never by floats.
 ``DyadicInterval`` is a closed interval with dyadic-rational endpoints and
 outward rounding on every operation; it is the only path by which
@@ -213,9 +213,6 @@ class QuadNum:
     def conjugate(self) -> "QuadNum":
         return self._make(self._A, -self._B, self._C)
 
-    def norm(self) -> Fraction:
-        return Fraction(self._A * self._A - self._B * self._B * self._d, self._C * self._C)
-
     def sign(self) -> int:
         a, b = self._A, self._B  # C > 0 leaves the sign to A + B sqrt(d)
         if b == 0:
@@ -233,15 +230,6 @@ class QuadNum:
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
-
-    def floor(self) -> int:
-        A, B, C = self.coords
-        if B == 0:
-            return A // C
-        t = isqrt(B * B * self._d)
-        # floor(B sqrt(d)) for irrational B sqrt(d)
-        fl = t if B > 0 else -t - 1
-        return (A + fl) // C
 
     def __eq__(self, other):
         if isinstance(other, _FractionLike):
@@ -536,17 +524,6 @@ class DyadicInterval:
     @property
     def hi(self) -> Fraction:
         return _frac(self._hi)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def contains(self, x) -> bool:
-        x = Fraction(x)
-        return self.lo <= x <= self.hi
 
     # ----- arithmetic -----
 

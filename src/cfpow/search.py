@@ -40,7 +40,6 @@ from .quadfield import DyadicInterval, _int_nthroot
 __all__ = [
     "Solution",
     "SearchRange",
-    "is_perfect_power",
     "power_splits",
     "enumerate_solutions",
     "filter_by_weight",
@@ -62,6 +61,8 @@ class Solution:
             raise InputError("solutions need y >= 2 and a >= 2")
         if self.y**self.a != self.value:
             raise InputError("value disagrees with y^a")
+        if any(type(i) is not int for i in self.N):
+            raise InputError("indices must be integers")
         if not self.N or self.N[-1] < 0:
             raise InputError("indices must be non-negative and non-empty")
         if any(self.N[i] < self.N[i + 1] for i in range(len(self.N) - 1)):
@@ -205,15 +206,6 @@ def power_splits(n: int, a_max: int | None = None) -> tuple[tuple[int, int], ...
     return _splits(n, _primes_upto(cap), cap)
 
 
-def is_perfect_power(n: int):
-    """(y, a) with y^a = n and a maximal >= 2, or None.
-
-    Values below 2 cannot be written with y >= 2, so they map to None.
-    """
-    splits = power_splits(n)
-    return splits[-1] if splits else None
-
-
 def _tails(qs, bound: int, k: int, total: int, prefix: tuple[int, ...]):
     """(sum, indices) for prefix extended by every weakly decreasing k-tuple
     over [0, bound], ascending lexicographic; ``total`` is prefix's sum."""
@@ -284,6 +276,8 @@ def enumerate_solutions(
     """
     if threads < 1:
         raise InputError("thread count must be >= 1")
+    if budget is not None and budget < 0:
+        raise InputError("tuple budget must be >= 0")
     qs = convergents(cf, rng.N_max).qs
     leads = range(rng.N_max + 1)
     if threads > 1 and budget is None:
@@ -294,22 +288,18 @@ def enumerate_solutions(
             chunks = list(pool.map(_worker_partition, leads, chunksize=8))
         return tuple(sol for chunk in chunks for sol in chunk)
     kernel = _Kernel(qs, rng.K, rng.a_max)
-    if budget is None:
-        return tuple(sol for n1 in leads for sol in kernel.partition(n1))
     used = 0
     out: list[Solution] = []
-    done: list[int] = []
     for n1 in leads:
-        size = comb(n1 + rng.K - 1, rng.K - 1)
-        if used + size > budget:
-            raise BudgetExceededError(
-                "tuple budget %d exhausted before N1 = %d" % (budget, n1),
-                partial=out,
-                completed=done,
-            )
+        if budget is not None:
+            used += comb(n1 + rng.K - 1, rng.K - 1)
+            if used > budget:
+                raise BudgetExceededError(
+                    "tuple budget %d exhausted before N1 = %d" % (budget, n1),
+                    partial=out,
+                    completed=range(n1),
+                )
         out.extend(kernel.partition(n1))
-        used += size
-        done.append(n1)
     return tuple(out)
 
 
@@ -340,16 +330,27 @@ def filter_by_weight(
 def verify_bounds(solutions, report: BoundReport, bd: BinetData) -> bool:
     """True iff every solution sits under the report's three bounds.
 
-    The caller must pair solutions with a report for the same expansion
-    and K.  Comparisons use the upper endpoints; log(y^a) is certified
-    by enclosure, escalating precision when an enclosure straddles the
-    bound, and counts as a failure if 4096 bits cannot separate them.
+    Each solution must have value = q_{N_1} + ... + q_{N_k} over ``bd.cf``
+    and k <= K, the report's largest ``per_k`` key (1 when there is none);
+    anything else raises "invalid-input".  The caller must pair the report
+    with the same expansion.  Comparisons use the upper endpoints; log(y^a)
+    is certified by enclosure, escalating precision when an enclosure
+    straddles the bound, and counts as a failure if 4096 bits cannot
+    separate them.
     """
+    solutions = tuple(solutions)
+    K = max((k for k, _ in report.per_k), default=1)
+    for sol in solutions:
+        if len(sol.N) > K:
+            raise InputError(f"solution {list(sol.N)} has more than K = {K} summands")
+        # q grows with the index, so the table through the first q > value
+        # holds every index a correct solution can use
+        qs = bd.cf.denominators_above(sol.value)
+        if sol.N[0] >= len(qs) or sum(qs[i] for i in sol.N) != sol.value:
+            raise InputError(f"value {sol.value} is not the sum of q_N over N = {list(sol.N)}")
     for sol in solutions:
         n1 = (sol.N[0] - bd.r) // bd.s if sol.N[0] >= bd.r else 0
-        if Fraction(n1) > report.n1_bound.hi:
-            return False
-        if Fraction(sol.a) > report.a_bound.hi:
+        if report.n1_bound.definitely_lt(n1) or report.a_bound.definitely_lt(sol.a):
             return False
         try:
             if not escalate(lambda bits: _log_power_below(sol, report.log_ya_bound.hi, bits), what="log(y^a)"):
@@ -362,8 +363,8 @@ def verify_bounds(solutions, report: BoundReport, bd: BinetData) -> bool:
 def _log_power_below(sol: Solution, bound: Fraction, bits: int) -> bool | None:
     """Whether a log(y) <= bound, certified at ``bits``; None if undecided."""
     log_ya = DyadicInterval.from_int(sol.y, bits).log() * DyadicInterval.from_int(sol.a, bits)
-    if log_ya.hi <= bound:
+    if log_ya.definitely_le(bound):
         return True
-    if log_ya.lo > bound:
+    if log_ya.definitely_gt(bound):
         return False
     return None

@@ -2,10 +2,14 @@
 
 The library keeps what a bound pipeline, the search or the CLI runs; these
 helpers exist to state and check properties of it (height calculus rules,
-the delta5 tail envelope, the transfer lemma's true root, the shifted
-denominator recurrence, Fibonacci growth, index partitions) or to check it
-against an earlier implementation (the Fraction-endpoint interval kernel and
-its Newton root).
+the height of a rational, the delta5 tail envelope, the transfer lemma's
+true root, the step-by-step grid-walk simulator with its state and value
+helpers, the shifted denominator recurrence, Fibonacci growth, index
+partitions, the Zeckendorf and radix decoders, perfect-power detection,
+the norm and floor of a quadratic number, and the width, midpoint and
+membership of an interval) or to check it against an earlier
+implementation (the Fraction-endpoint interval kernel and its Newton
+root).
 """
 
 from __future__ import annotations
@@ -17,11 +21,12 @@ from math import isqrt
 from mpmath import libmp
 from mpmath.libmp import libmpi
 
+from cfpow.bounds import _walk_inputs
 from cfpow.cfrac import ContinuedFraction, period_matrix_trace
 from cfpow.errors import InputError, PrecisionError, ToolkitError
 from cfpow.heights import HeightBound, _log_int, _zero, height_quadratic, log_plus
 from cfpow.linforms import _A_FLOOR, _check_pw_args, _lift, pw_transfer
-from cfpow.numeration import ZeckendorfRep, fibonacci, zeckendorf_encode
+from cfpow.numeration import RadixRep, ZeckendorfRep, fibonacci, zeckendorf_encode
 from cfpow.quadfield import (
     DEFAULT_PRECISION,
     DyadicInterval,
@@ -30,12 +35,51 @@ from cfpow.quadfield import (
     dyadic_decimal_str,
     make_quadnum,
 )
+from cfpow.search import power_splits
 
 
 class G2LDomainError(ToolkitError):
     """log_from_gamma was asked for a point outside |x - 1| <= 1/2."""
 
     code = "g2l-domain"
+
+
+class WalkPathError(ToolkitError):
+    """walk_simulate was given an unknown move or a path off the grid."""
+
+    code = "walk-malformed"
+
+
+# ----- quadratic numbers and intervals -----
+
+
+def norm(x: QuadNum) -> Fraction:
+    """x times its conjugate, exact."""
+    A, B, C = x.coords
+    return Fraction(A * A - B * B * x.d, C * C)
+
+
+def floor(x: QuadNum) -> int:
+    A, B, C = x.coords
+    if B == 0:
+        return A // C
+    t = isqrt(B * B * x.d)
+    # floor(B sqrt(d)) for irrational B sqrt(d)
+    fl = t if B > 0 else -t - 1
+    return (A + fl) // C
+
+
+def width(iv: DyadicInterval) -> Fraction:
+    return iv.hi - iv.lo
+
+
+def midpoint(iv: DyadicInterval) -> Fraction:
+    return (iv.lo + iv.hi) / 2
+
+
+def contains(iv: DyadicInterval, x) -> bool:
+    x = Fraction(x)
+    return iv.lo <= x <= iv.hi
 
 
 # ----- linear forms -----
@@ -69,8 +113,8 @@ def pw_largest_root(a, c, g, precision_bits: int = DEFAULT_PRECISION, max_iter: 
     the sign certifies negative; past the largest root the defect is
     positive, so the first negative window hit from above brackets it.
     """
-    c_frac = _check_pw_args(a, c, g)
-    if c_frac is None or c_frac.denominator != 1:
+    c_frac = _check_pw_args(a, c)
+    if c_frac.denominator != 1:
         raise InputError("root enclosure expects an integer exponent c")
     n = c_frac.numerator
     bound = pw_transfer(a, c, g, precision_bits)
@@ -121,6 +165,13 @@ def log_from_gamma(gamma_minus_1_abs: DyadicInterval) -> DyadicInterval:
 
 
 # ----- heights -----
+
+
+def height_rational(x, precision_bits: int = DEFAULT_PRECISION) -> HeightBound:
+    """h(p/q) = log max(|p|, q), exact."""
+    x = Fraction(x)
+    m = max(abs(x.numerator), x.denominator)
+    return HeightBound(_log_int(m, precision_bits), "exact")
 
 
 def height_combine(h1: HeightBound, h2: HeightBound, op: str) -> HeightBound:
@@ -201,6 +252,14 @@ def delta5_height_bound(
 
 
 # ----- numeration -----
+
+
+def zeckendorf_decode(rep: ZeckendorfRep) -> int:
+    return sum(fibonacci(m) for m in rep.indices)
+
+
+def radix_decode(rep: RadixRep) -> int:
+    return sum(d * rep.base**m for d, m in zip(rep.digits, rep.positions))
 
 
 def zeckendorf_canonicalize(indices) -> ZeckendorfRep:
@@ -286,6 +345,128 @@ def fib_bounds_check(t: int, precision_bits: int = DEFAULT_PRECISION) -> bool:
             return False
         bits *= 2
     raise PrecisionError(f"fib bounds undecided for t={t} at {bits // 2} bits")
+
+
+# ----- search -----
+
+
+def is_perfect_power(n: int):
+    """(y, a) with y^a = n and a maximal >= 2, or None.
+
+    Values below 2 cannot be written with y >= 2, so they map to None.
+    """
+    splits = power_splits(n)
+    return splits[-1] if splits else None
+
+
+# ----- the grid walk, step by step -----
+#
+# The pipelines evaluate only cfpow.bounds.walk_closed_form; this walk over
+# every grid path is the independent oracle that the closed form dominates.
+
+
+@dataclass(frozen=True)
+class WalkState:
+    """Grid-walk snapshot: step index, double counter, bound sequence."""
+
+    j: int
+    v: int
+    w: int
+    u: tuple
+
+    def __post_init__(self):
+        if self.v + self.w != self.j + 3:
+            raise InputError("walk counter out of sync: v + w must equal j + 3")
+        if len(self.u) != self.j + 1:
+            raise InputError("walk bound sequence must carry one entry per step")
+        if not _walk_value_is_one(self.u[0]):
+            raise InputError("walk bound sequence must start at 1")
+        for prev, cur in zip(self.u, self.u[1:]):
+            if not _walk_value_ge(cur, prev):
+                raise InputError("walk bound sequence must be non-decreasing")
+
+
+def _walk_value_is_one(x) -> bool:
+    if isinstance(x, DyadicInterval):
+        return x.lo == 1 and x.hi == 1
+    return x == 1
+
+
+def _walk_value_ge(x, y) -> bool:
+    if isinstance(x, DyadicInterval):
+        return x.lo >= y.lo and x.hi >= y.hi
+    return x >= y
+
+
+def walk_simulate(k: int, ell: int, C12, log_n1, path="worst") -> WalkState:
+    """Run the double-indexed grid walk and return its bound sequence.
+
+    The counter starts at (2, 2); each move increments one coordinate,
+    capped one past its grid size, and u(j) multiplies the two previous
+    bounds by C12 (v_j - 1)(w_j - 1) log n1.  ``path`` is a sequence of
+    "down"/"right" moves, or "worst" to maximize the final bound over
+    every saturating path.  Exact rational inputs are propagated
+    exactly; interval inputs propagate as intervals.
+    """
+    if k < 2 or ell < 2:
+        raise InputError(f"walk needs k >= 2 and ell >= 2, got k={k}, ell={ell}")
+    c, g = _walk_inputs(C12, log_n1)
+    if isinstance(c, DyadicInterval):
+        seed_ok = (c * g).lo >= 1
+        u0 = DyadicInterval.from_int(1, c.precision_bits)
+    else:
+        seed_ok = c * g >= 1
+        u0 = Fraction(1)
+    if not seed_ok:
+        raise InputError("walk needs C12 * log_n1 >= 1 so the bound sequence is monotone")
+
+    def run(moves):
+        v, w, j = 2, 2, 1
+        u = [u0, c * g]
+        for move in moves:
+            if move == "down":
+                v += 1
+            elif move == "right":
+                w += 1
+            else:
+                raise WalkPathError(f"unknown move {move!r}")
+            if v > ell + 1 or w > k + 1:
+                raise WalkPathError("move past the grid boundary")
+            j += 1
+            u.append(c * (v - 1) * (w - 1) * u[-1] * u[-2] * g)
+        return WalkState(j=j, v=v, w=w, u=tuple(u))
+
+    if isinstance(path, str):
+        if path != "worst":
+            raise WalkPathError(f"path must be a move sequence or 'worst', got {path!r}")
+        best = None
+        # saturating paths interleave ell-1 downs with k-1 rights; ties keep
+        # the first (down-first) candidate
+        def explore(moves, downs, rights):
+            nonlocal best
+            if downs == ell - 1 and rights == k - 1:
+                state = run(moves)
+                if best is None or _walk_value_gt(state.u[-1], best.u[-1]):
+                    best = state
+                return
+            if downs < ell - 1:
+                explore(moves + ["down"], downs + 1, rights)
+            if rights < k - 1:
+                explore(moves + ["right"], downs, rights + 1)
+
+        explore([], 0, 0)
+        return best
+
+    moves = list(path)
+    if len(moves) > k + ell - 1:
+        raise WalkPathError(f"path longer than {k + ell - 1} moves cannot stay on the grid")
+    return run(moves)
+
+
+def _walk_value_gt(x, y) -> bool:
+    if isinstance(x, DyadicInterval):
+        return (x.hi, x.lo) > (y.hi, y.lo)
+    return x > y
 
 
 # ----- continued fractions -----

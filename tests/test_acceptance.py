@@ -16,7 +16,14 @@ import time
 from fractions import Fraction
 
 from conftest import sample_irrationals
-from oracles import a_majorant, pw_largest_root, verify_shifted_recurrence
+from oracles import (
+    a_majorant,
+    is_perfect_power,
+    midpoint,
+    pw_largest_root,
+    verify_shifted_recurrence,
+    walk_simulate,
+)
 
 from cfpow import cli
 from cfpow.bounds import (
@@ -25,7 +32,6 @@ from cfpow.bounds import (
     theorem_ham_bound,
     theorem_y_bound,
     walk_closed_form,
-    walk_simulate,
 )
 from cfpow.cfrac import binet_data, convergents, expand
 from cfpow.linforms import (
@@ -48,7 +54,6 @@ from cfpow.search import (
     SearchRange,
     enumerate_solutions,
     filter_by_weight,
-    is_perfect_power,
     verify_bounds,
 )
 
@@ -187,8 +192,8 @@ def test_08_transfer_bound_dominates_true_root():
         assert bound.definitely_ge(root), (a, c, g)
         checked += 1
     assert checked == 21
-    assert abs(float(pw_transfer(0, 1, 10).midpoint()) - 46.051701859880914) < 1e-9
-    assert abs(float(pw_largest_root(0, 1, 10).midpoint()) - 35.771520639572972) < 1e-9
+    assert abs(float(midpoint(pw_transfer(0, 1, 10))) - 46.051701859880914) < 1e-9
+    assert abs(float(midpoint(pw_largest_root(0, 1, 10))) - 35.771520639572972) < 1e-9
     assert time.monotonic() - start < 5
 
 
@@ -217,7 +222,7 @@ def test_09_matveev_matches_independent_oracle():
                 (matveev_gamma_bound(inst), oracle_gamma),
                 (matveev_lambda_bound(inst), oracle_lambda),
             ):
-                mid = got.midpoint()
+                mid = midpoint(got)
                 approx = mp.mpf(mid.numerator) / mid.denominator
                 assert abs((approx - oracle) / oracle) < tol
     assert time.monotonic() - start < 5

@@ -378,3 +378,31 @@ def test_verify_rejects_reports_no_pipeline_can_produce(capsys, tmp_path, change
         doc[key] = dict(doc[key], **value) if isinstance(value, dict) else value
     rc, err = _verify_with_report(capsys, tmp_path, doc)
     assert rc == 3 and err["error"] == "invalid-input"
+
+
+@pytest.mark.parametrize(
+    "solution",
+    [
+        '{"y":"2","a":2,"N":[0],"value":"4"}',
+        '{"y":"2","a":2,"N":[1,1],"value":"4"}',
+        '{"y":"2","a":2,"N":[1.5,1],"value":"4"}',
+    ],
+    ids=["wrong-sum", "more-than-K", "float-index"],
+)
+def test_verify_rejects_what_is_not_a_solution(capsys, tmp_path, solution):
+    rc, report = run(capsys, ROOT2 + ["bounds", "y", "--K", "1", "--y", "2"])
+    assert rc == 0
+    sols_path = tmp_path / "solutions.jsonl"
+    sols_path.write_text(solution + "\n", encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    report_path.write_text(report, encoding="utf-8")
+    argv = ROOT2 + ["verify", "--solutions", str(sols_path), "--report", str(report_path)]
+    rc, doc = run_doc(capsys, argv, "error.schema.json")
+    assert rc == 3 and doc["error"] == "invalid-input"
+
+
+@pytest.mark.parametrize("flag", [["--threads", "0"], ["--budget", "-1"]], ids=["threads-0", "budget-negative"])
+def test_search_rejects_bad_threads_and_budget(capsys, flag):
+    argv = ROOT2 + ["search", "--K", "2", "--N-max", "8", "--a-max", "3"] + flag
+    rc, doc = run_doc(capsys, argv, "error.schema.json")
+    assert rc == 3 and doc["error"] == "invalid-input"

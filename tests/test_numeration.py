@@ -17,13 +17,11 @@ from cfpow.numeration import (
     ostrowski_decode,
     ostrowski_encode,
     ostrowski_validate,
-    radix_decode,
     radix_encode,
-    zeckendorf_decode,
     zeckendorf_encode,
 )
 from cfpow.quadfield import make_quadnum
-from oracles import fib_bounds_check, partition_sum, zeckendorf_canonicalize
+from oracles import fib_bounds_check, partition_sum, radix_decode, zeckendorf_canonicalize, zeckendorf_decode
 
 
 @pytest.fixture(scope="module")

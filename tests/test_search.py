@@ -20,10 +20,10 @@ from cfpow.search import (
     Solution,
     enumerate_solutions,
     filter_by_weight,
-    is_perfect_power,
     power_splits,
     verify_bounds,
 )
+from oracles import is_perfect_power, midpoint
 
 GOLDEN_40_5_K2 = [
     (2, 2, (2, 2), 4),
@@ -186,6 +186,9 @@ def test_solution_validation():
         Solution(2, 2, (1, 2), 4)  # increasing indices
     with pytest.raises(InputError):
         Solution(2, 2, (-1,), 4)
+    for N in [(1.5, 1), (1, 1.0), ("1", "1"), (True,)]:  # indices that are not ints
+        with pytest.raises(InputError):
+            Solution(2, 2, N, 4)
 
 
 def test_solution_json():
@@ -304,6 +307,18 @@ def test_budget_stops_at_a_partition_frontier(golden_cf_local):
     assert set(exc.partial) == set(full)
 
 
+def test_zero_budget_stops_before_the_first_partition(golden_cf_local):
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_solutions(golden_cf_local, SearchRange(5, 3, 2), budget=0)
+    assert err.value.completed == ()
+    assert err.value.partial == ()
+
+
+def test_negative_budget_is_rejected(golden_cf_local):
+    with pytest.raises(InputError):
+        enumerate_solutions(golden_cf_local, SearchRange(5, 3, 2), budget=-1)
+
+
 def test_budget_large_enough_completes(golden_cf_local):
     sols = enumerate_solutions(golden_cf_local, SearchRange(12, 3, 2), budget=10**6)
     assert len(sols) == 10
@@ -373,6 +388,20 @@ def test_verify_bounds_escalates_to_4096_bits_then_fails(golden_cf_local):
     at_4096 = DyadicInterval.from_int(2, 4096).log() * DyadicInterval.from_int(2, 4096)
     reached = dataclasses.replace(rep, log_ya_bound=DyadicInterval(at_4096.hi, at_4096.hi))
     assert verify_bounds([sol], reached, bd)
-    inside = (DyadicInterval.from_int(2, 8192).log() * 2).midpoint()
+    inside = midpoint(DyadicInterval.from_int(2, 8192).log() * 2)
     undecided = dataclasses.replace(rep, log_ya_bound=DyadicInterval(inside, inside))
     assert not verify_bounds([sol], undecided, bd)
+
+
+def test_verify_bounds_rejects_what_is_not_a_solution_over_the_field(root2_bd):
+    report = theorem_y_bound(root2_bd, 1, 2)
+    with pytest.raises(InputError):
+        verify_bounds([Solution(2, 2, (0,), 4)], report, root2_bd)  # q_0 = 1, not 4
+    with pytest.raises(InputError):
+        verify_bounds([Solution(2, 2, (1, 1), 4)], report, root2_bd)  # two summands, K = 1
+    with pytest.raises(InputError):
+        verify_bounds([Solution(2, 2, (1.5, 1), 4)], report, root2_bd)  # Solution refuses the float
+    with pytest.raises(InputError):
+        verify_bounds([Solution(2, 2, (60,), 4)], report, root2_bd)  # q_60 far above 4
+    # the same sum is a solution against a K = 2 report
+    assert verify_bounds([Solution(2, 2, (1, 1), 4)], theorem_y_bound(root2_bd, 2, 2), root2_bd)
