@@ -12,6 +12,11 @@ the exact closed-form coefficients of each: growth root theta1, its
 conjugate theta2, and per-class constants c1, c2 with
 
     q_{j+r+s*i} = c1[j] * theta1**i - c2[j] * theta2**i.
+
+c1 and c2 come in closed form from two integer numerator sequences that
+follow the denominators' own recurrence; the sandwich constant c3 and the
+index N0 come from exact integer comparisons of those numerators, and c4
+from c1[0], the least c1.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import InputError, NonQuadraticError, PeriodCapError, PrecisionError
-from .quadfield import DEFAULT_PRECISION, DyadicInterval, QuadNum
+from .quadfield import DEFAULT_PRECISION, DyadicInterval, QuadNum, _int_decimal_str, _surd_sign
 
 __all__ = [
     "ContinuedFraction",
@@ -157,7 +162,7 @@ class ConvergentTable:
         return self.qs[i]
 
     def to_json(self) -> dict:
-        return {"q": [str(q) for q in self.qs]}
+        return {"q": [_int_decimal_str(q) for q in self.qs]}
 
 
 def convergents(cf: ContinuedFraction, n: int) -> ConvergentTable:
@@ -205,11 +210,11 @@ class BinetData:
 
     def to_json(self) -> dict:
         return {
-            "t_alpha": str(self.t_alpha),
+            "t_alpha": _int_decimal_str(self.t_alpha),
             "s": self.s,
             "r": self.r,
-            "disc": str(self.disc),
-            "delta": str(self.delta),
+            "disc": _int_decimal_str(self.disc),
+            "delta": _int_decimal_str(self.delta),
             "theta1": self.theta1.to_json(),
             "theta2": self.theta2.to_json(),
             "c1": [c.to_json() for c in self.c1],
@@ -221,8 +226,8 @@ class BinetData:
 
 
 def binet_data(cf: ContinuedFraction, precision_bits: int = DEFAULT_PRECISION) -> BinetData:
+    """Growth root, per-class constants c1/c2 in closed form, and the sandwich data."""
     r, s = cf.r, cf.s
-    qs = cf.denominators(r + 2 * s)
     t = period_matrix_trace(cf)
     unit = -1 if s % 2 else 1
     disc = t * t - 4 * unit
@@ -232,16 +237,36 @@ def binet_data(cf: ContinuedFraction, precision_bits: int = DEFAULT_PRECISION) -
     if m == 0 or m * m * d != disc:
         raise InputError(f"no growth root in Q(sqrt({d})): t={t}, s={s}, disc={disc}")
     theta1 = QuadNum(Fraction(t, 2), Fraction(m, 2), d)
-    theta2 = theta1.conjugate()
-    inv_dtheta = (theta1 - theta2).inverse()
-    c1, c2 = [], []
-    for j in range(s):
-        q0, q1 = qs[j + r], qs[j + r + s]
-        c1.append((q1 - theta2 * q0) * inv_dtheta)
-        c2.append((q1 - theta1 * q0) * inv_dtheta)
-    c3 = max(u + abs(v) for u, v in zip(c1, c2)).enclose(precision_bits)
-    c4 = (min(c1) / 2).enclose(precision_bits)
-    n0 = _least_sandwich_index(theta1, theta2, c1, c2)
+    # c1[j] = (X_j + Y_j sqrt(d))/den and c2[j] = -conj(c1[j]), where
+    # X_j = (m/h) d q_{j+r}, Y_j = (2 q_{j+r+s} - t q_{j+r})/h and den = 2 (m/h) d.
+    # Both follow q's recurrence in j (a_{n+s} = a_n for n >= r), so each grows
+    # from its j = -1, 0 seeds by small-by-big products, and the h taken over
+    # m and those two seeds divides every Y_j.
+    qs = cf.denominators(r + s)
+    ys = [2 * qs[r + s + i] - t * qs[r + i] for i in (-1, 0)]
+    h = gcd(m, *ys)
+    md = m // h * d
+    xs = [md * qs[r - 1], md * qs[r]]
+    ys = [y // h for y in ys]
+    for a in cf.quotients(r + s - 1)[r + 1 :]:
+        xs.append(a * xs[-1] + xs[-2])
+        ys.append(a * ys[-1] + ys[-2])
+    del xs[0], ys[0]
+    den = 2 * md
+    c1 = [theta1._make(x, y, den) for x, y in zip(xs, ys)]
+    c2 = [-u.conjugate() for u in c1]
+    root = isqrt(d << 128)
+    # c1 + |c2| = max(c1 + c2, c1 - c2) = max(2 Y sqrt(d), 2 X)/den
+    x_max, y_max = max(xs), max(ys)
+    if _positive(-x_max, y_max, d, root):
+        c3 = theta1._make(0, 2 * y_max, den).enclose(precision_bits)
+    else:
+        c3 = theta1._make(2 * x_max, 0, den).enclose(precision_bits)
+    # min c1 = c1[0]: c1[j+1] - c1[j] = (e_{j+r+s} - theta2 e_{j+r})/(theta1 - theta2)
+    # with e_n = q_{n+1} - q_n, and a_i >= 1 for i >= 1 gives e_{n+s} >= e_n > 0 for
+    # n >= 1, while |theta2| < 1
+    c4 = (c1[0] / 2).enclose(precision_bits)
+    n0 = 0 if _sandwich_at_zero(xs, ys, d, root) else _least_sandwich_index(theta1, c1, c2)
     return BinetData(
         cf=cf,
         t_alpha=t,
@@ -250,7 +275,7 @@ def binet_data(cf: ContinuedFraction, precision_bits: int = DEFAULT_PRECISION) -
         disc=disc,
         delta=theta1.d,
         theta1=theta1,
-        theta2=theta2,
+        theta2=theta1.conjugate(),
         c1=tuple(c1),
         c2=tuple(c2),
         c3=c3,
@@ -260,18 +285,40 @@ def binet_data(cf: ContinuedFraction, precision_bits: int = DEFAULT_PRECISION) -
     )
 
 
-def _least_sandwich_index(theta1, theta2, c1, c2) -> int:
-    """Smallest i with 2|c2[j]| |theta2|**i < c1[j] theta1**i for every j."""
-    abs_t2 = abs(theta2)
-    pow1 = theta1**0
-    pow2 = abs_t2**0
+def _positive(a: int, b: int, d: int, root: int) -> bool:
+    """a + b*sqrt(d) > 0, given root = isqrt(d << 128).
+
+    sqrt(d) * 2**64 lies strictly inside (root, root + 1), which settles the
+    sign unless a + b*sqrt(d) is within |b| * 2**-64 of 0; only then is the
+    exact test run.
+    """
+    lo = (a << 64) + b * root
+    hi = lo + b
+    if lo > 0 and hi > 0:
+        return True
+    if lo <= 0 and hi <= 0:
+        return False
+    return _surd_sign(a, b, d) > 0
+
+
+def _sandwich_at_zero(xs, ys, d: int, root: int) -> bool:
+    """2|c2[j]| < c1[j] for every j: 3 X_j > Y_j sqrt(d) and 3 Y_j sqrt(d) > X_j."""
+    return all(_positive(3 * x, -y, d, root) and _positive(-x, 3 * y, d, root) for x, y in zip(xs, ys))
+
+
+def _least_sandwich_index(theta1: QuadNum, c1, c2) -> int:
+    """Smallest i with 2|c2[j]| |theta2|**i < c1[j] theta1**i for every j.
+
+    |theta2| = 1/theta1, so the test is 2|c2[j]| < c1[j] theta1**(2i).
+    """
+    square = theta1 * theta1
+    power = theta1**0
     targets = [(2 * abs(v), u) for u, v in zip(c1, c2)]
     i = 0
     while True:
-        if all((u * pow1 - w * pow2).sign() > 0 for w, u in targets):
+        if all((u * power - w).sign() > 0 for w, u in targets):
             return i
         i += 1
         if i > N0_CAP:
             raise PrecisionError(f"sandwich index not found within {N0_CAP} steps")
-        pow1 = pow1 * theta1
-        pow2 = pow2 * abs_t2
+        power = power * square

@@ -24,7 +24,7 @@ from .bounds import BoundReport, theorem_ham2_bound, theorem_ham_bound, theorem_
 from .cfrac import binet_data, convergents, expand
 from .errors import InapplicableError, InputError, ToolkitError
 from .numeration import ostrowski_encode, radix_encode, zeckendorf_encode
-from .quadfield import DEFAULT_PRECISION, make_quadnum
+from .quadfield import DEFAULT_PRECISION, _decimal_int, make_quadnum
 from .search import SearchRange, Solution, enumerate_solutions, filter_by_weight, verify_bounds
 
 __all__ = ["main", "build_parser"]
@@ -152,7 +152,8 @@ def _load_solutions(path: str) -> list[Solution]:
                 if not line:
                     continue
                 doc = json.loads(line)
-                sols.append(Solution(int(doc["y"]), int(doc["a"]), tuple(doc["N"]), int(doc["value"])))
+                y, a, value = (_decimal_int(doc[key]) for key in ("y", "a", "value"))
+                sols.append(Solution(y, a, tuple(doc["N"]), value))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"malformed solutions file: {exc}") from None
     return sols

@@ -14,6 +14,7 @@ are read-only Fraction views.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
@@ -37,6 +38,7 @@ DEFAULT_PRECISION = 128
 TRIAL_DIVISION_BOUND = 10**6
 
 _FractionLike = (int, Fraction)
+_INT_TEXT = re.compile(r"-?[0-9]+")
 
 
 def squarefree_split(d: int) -> tuple[int, int]:
@@ -105,6 +107,12 @@ class QuadNum:
         """(A + B*sqrt(d))/C in the field of self, normalised."""
         return object.__new__(QuadNum)._set(A, B, C, self._d)
 
+    def _keep(self, A: int, B: int) -> "QuadNum":
+        """(A + B*sqrt(d))/C with the C and field of self; gcd(A, B, C) must be 1."""
+        x = object.__new__(QuadNum)
+        x._A, x._B, x._C, x._d = A, B, self._C, self._d
+        return x
+
     @property
     def coords(self) -> tuple[int, int, int]:
         """The normalised integer triple (A, B, C) of (A + B*sqrt(d))/C."""
@@ -155,7 +163,7 @@ class QuadNum:
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make(-self._A, -self._B, self._C)
+        return self._keep(-self._A, -self._B)
 
     def __sub__(self, other):
         x, y = self._match(other)
@@ -211,22 +219,10 @@ class QuadNum:
     # ----- exact predicates -----
 
     def conjugate(self) -> "QuadNum":
-        return self._make(self._A, -self._B, self._C)
+        return self._keep(self._A, -self._B)
 
     def sign(self) -> int:
-        a, b = self._A, self._B  # C > 0 leaves the sign to A + B sqrt(d)
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        lhs, rhs = a * a, b * b * self._d
-        if lhs == rhs:  # would force sqrt(d) rational
-            raise InputError(f"non-squarefree field parameter {self._d}")
-        if a > 0:  # b < 0: positive iff a > |b| sqrt(d)
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1
+        return _surd_sign(self._A, self._B, self._d)  # C > 0 leaves the sign to A + B sqrt(d)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -292,20 +288,36 @@ class QuadNum:
     def to_json(self) -> dict:
         a, b = self.a, self.b
         return {
-            "a_num": str(a.numerator),
-            "a_den": str(a.denominator),
-            "b_num": str(b.numerator),
-            "b_den": str(b.denominator),
+            "a_num": _int_decimal_str(a.numerator),
+            "a_den": _int_decimal_str(a.denominator),
+            "b_num": _int_decimal_str(b.numerator),
+            "b_den": _int_decimal_str(b.denominator),
             "D": self._d,
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuadNum":
         return make_quadnum(
-            Fraction(int(obj["a_num"]), int(obj["a_den"])),
-            Fraction(int(obj["b_num"]), int(obj["b_den"])),
-            int(obj["D"]),
+            Fraction(_decimal_int(obj["a_num"]), _decimal_int(obj["a_den"])),
+            Fraction(_decimal_int(obj["b_num"]), _decimal_int(obj["b_den"])),
+            _decimal_int(obj["D"]),
         )
+
+
+def _surd_sign(a: int, b: int, d: int) -> int:
+    """Sign of a + b*sqrt(d) for d squarefree; squares only when a and b differ in sign."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if (a > 0) == (b > 0):
+        return 1 if a > 0 else -1
+    lhs, rhs = a * a, b * b * d
+    if lhs == rhs:  # would force sqrt(d) rational
+        raise InputError(f"non-squarefree field parameter {d}")
+    if a > 0:  # b < 0: positive iff a > |b| sqrt(d)
+        return 1 if lhs > rhs else -1
+    return 1 if rhs > lhs else -1
 
 
 def make_quadnum(a, b, d: int) -> QuadNum:
@@ -428,6 +440,19 @@ def _decimal_str(p: tuple[int, int]) -> str:
 def _int_decimal_str(n: int) -> str:
     # str(int) is capped by sys.get_int_max_str_digits(); Decimal is not
     return format(Decimal(n), "f")
+
+
+def _decimal_int(value) -> int:
+    """A JSON int, or a string of decimal digits as ``_int_decimal_str`` writes.
+
+    Parses through Decimal, so the int-to-str digit cap does not apply.
+    Raises InputError for a float, a bool or any other string.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and _INT_TEXT.fullmatch(value):
+        return int(Decimal(value))
+    raise InputError(f"not an integer: {value!r}")
 
 
 def decimal_to_fraction(text) -> Fraction:

@@ -35,7 +35,7 @@ from .cfrac import BinetData, ContinuedFraction, convergents
 from .errors import BudgetExceededError, InputError, PrecisionError
 from .linforms import escalate
 from .numeration import radix_encode, zeckendorf_encode
-from .quadfield import DyadicInterval, _int_nthroot
+from .quadfield import DyadicInterval, _int_decimal_str, _int_nthroot
 
 __all__ = [
     "Solution",
@@ -59,7 +59,9 @@ class Solution:
     def __post_init__(self):
         if self.y < 2 or self.a < 2:
             raise InputError("solutions need y >= 2 and a >= 2")
-        if self.y**self.a != self.value:
+        # y^a >= 2^(a (bit length of y - 1)): refuse a value that is too short
+        # before computing a power whose size only the exponent bounds
+        if self.a * (self.y.bit_length() - 1) >= self.value.bit_length() or self.y**self.a != self.value:
             raise InputError("value disagrees with y^a")
         if any(type(i) is not int for i in self.N):
             raise InputError("indices must be integers")
@@ -70,10 +72,10 @@ class Solution:
 
     def to_json(self) -> dict:
         return {
-            "y": str(self.y),
+            "y": _int_decimal_str(self.y),
             "a": self.a,
             "N": list(self.N),
-            "value": str(self.value),
+            "value": _int_decimal_str(self.value),
         }
 
 

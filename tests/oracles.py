@@ -9,7 +9,8 @@ partitions, the Zeckendorf and radix decoders, perfect-power detection,
 the norm and floor of a quadratic number, and the width, midpoint and
 membership of an interval) or to check it against an earlier
 implementation (the Fraction-endpoint interval kernel and its Newton
-root).
+root, and the Binet data built from QuadNum products with the two-power
+sandwich-index walk).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from mpmath import libmp
 from mpmath.libmp import libmpi
 
 from cfpow.bounds import _walk_inputs
-from cfpow.cfrac import ContinuedFraction, period_matrix_trace
+from cfpow.cfrac import N0_CAP, BinetData, ContinuedFraction, period_matrix_trace
 from cfpow.errors import InputError, PrecisionError, ToolkitError
 from cfpow.heights import HeightBound, _log_int, _zero, height_quadratic, log_plus
 from cfpow.linforms import _A_FLOOR, _check_pw_args, _lift, pw_transfer
@@ -489,6 +490,61 @@ def verify_shifted_recurrence(cf: ContinuedFraction, i_max: int, i_min: int | No
     unit = -1 if s % 2 else 1
     qs = cf.denominators(i_max + 2 * s)
     return all(qs[i + 2 * s] == t * qs[i + s] - unit * qs[i] for i in range(lo, i_max + 1))
+
+
+def binet_data_by_products(cf: ContinuedFraction, precision_bits: int = DEFAULT_PRECISION) -> BinetData:
+    """Binet data from QuadNum products: c1, c2 from (q1 - theta q0)/(theta1 - theta2),
+    c3 and c4 from one exact max/min per class, N0 from the two-power walk."""
+    r, s = cf.r, cf.s
+    qs = cf.denominators(r + 2 * s)
+    t = period_matrix_trace(cf)
+    unit = -1 if s % 2 else 1
+    disc = t * t - 4 * unit
+    d = cf.alpha.d
+    m = isqrt(max(disc, 0) // d)
+    if m == 0 or m * m * d != disc:
+        raise InputError(f"no growth root in Q(sqrt({d})): t={t}, s={s}, disc={disc}")
+    theta1 = QuadNum(Fraction(t, 2), Fraction(m, 2), d)
+    theta2 = theta1.conjugate()
+    inv_dtheta = (theta1 - theta2).inverse()
+    c1, c2 = [], []
+    for j in range(s):
+        q0, q1 = qs[j + r], qs[j + r + s]
+        c1.append((q1 - theta2 * q0) * inv_dtheta)
+        c2.append((q1 - theta1 * q0) * inv_dtheta)
+    return BinetData(
+        cf=cf,
+        t_alpha=t,
+        s=s,
+        r=r,
+        disc=disc,
+        delta=theta1.d,
+        theta1=theta1,
+        theta2=theta2,
+        c1=tuple(c1),
+        c2=tuple(c2),
+        c3=max(u + abs(v) for u, v in zip(c1, c2)).enclose(precision_bits),
+        c4=(min(c1) / 2).enclose(precision_bits),
+        N0=least_sandwich_index_by_powers(theta1, theta2, c1, c2),
+        precision_bits=precision_bits,
+    )
+
+
+def least_sandwich_index_by_powers(theta1, theta2, c1, c2) -> int:
+    """Smallest i with 2|c2[j]| |theta2|**i < c1[j] theta1**i for every j."""
+    abs_t2 = abs(theta2)
+    pow1 = theta1**0
+    pow2 = abs_t2**0
+    targets = [(2 * abs(v), u) for u, v in zip(c1, c2)]
+    i = 0
+    while True:
+        if all((u * pow1 - w * pow2).sign() > 0 for w, u in targets):
+            return i
+        i += 1
+        if i > N0_CAP:
+            raise PrecisionError(f"sandwich index not found within {N0_CAP} steps")
+        pow1 = pow1 * theta1
+        pow2 = pow2 * abs_t2
 
 
 # ----- the interval kernel before integer endpoints -----

@@ -1,10 +1,11 @@
 """Continued fractions of quadratic irrationals and their denominator growth."""
 
+import json
 from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfpow import cfrac
@@ -16,8 +17,15 @@ from cfpow.cfrac import (
     period_matrix_trace,
 )
 from cfpow.errors import InputError, NonQuadraticError
-from cfpow.quadfield import make_quadnum
-from oracles import contains, floor, theta1_by_factoring, verify_shifted_recurrence
+from cfpow.quadfield import QuadNum, _surd_sign, make_quadnum
+from oracles import (
+    binet_data_by_products,
+    contains,
+    floor,
+    least_sandwich_index_by_powers,
+    theta1_by_factoring,
+    verify_shifted_recurrence,
+)
 
 CLASSICAL_EXPANSIONS = [
     ((0, 1, 2), 1, (), (2,)),
@@ -320,3 +328,118 @@ def test_denominator_table_is_not_part_of_the_value():
     assert warm.to_json() == cold.to_json()
     assert "_q" not in repr(warm)
     assert binet_data(warm).to_json() == binet_data(cold).to_json()
+
+
+# ----- closed-form Binet data against the product construction -----
+
+
+def _assert_same_binet(bd, ref):
+    assert json.dumps(bd.to_json(), sort_keys=True) == json.dumps(ref.to_json(), sort_keys=True)
+    assert bd.theta1.coords == ref.theta1.coords and bd.theta2.coords == ref.theta2.coords
+    assert [c.coords for c in bd.c1] == [c.coords for c in ref.c1]
+    assert [c.coords for c in bd.c2] == [c.coords for c in ref.c2]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=-60, max_value=60),
+    st.integers(min_value=-6, max_value=6).filter(bool),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=2, max_value=5000).filter(lambda d: isqrt(d) ** 2 != d),
+    st.sampled_from([128, 512]),
+)
+def test_closed_form_binet_data_matches_the_products(p, q, r, d, bits):
+    cf = expand(make_quadnum(Fraction(p, r), Fraction(q, r), d))
+    assume(cf.s <= 60)
+    _assert_same_binet(binet_data(cf, bits), binet_data_by_products(cf, bits))
+
+
+@pytest.mark.parametrize("bits", [128, 512])
+def test_closed_form_binet_data_matches_the_products_at_long_period(bits):
+    cf = expand(make_quadnum(0, 1, 847893))
+    assert cf.s == 324
+    _assert_same_binet(binet_data(cf, bits), binet_data_by_products(cf, bits))
+
+
+UNITS = [
+    make_quadnum(Fraction(1, 2), Fraction(1, 2), 5),  # norm -1
+    make_quadnum(1, 1, 2),  # norm -1
+    make_quadnum(2, 1, 3),  # norm +1
+]
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(UNITS),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=50),
+            st.integers(min_value=-50, max_value=50),
+            st.integers(min_value=-5000, max_value=5000),
+            st.integers(min_value=-50, max_value=50),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_general_sandwich_index_matches_the_two_power_walk(theta1, entries):
+    """Synthetic c1/c2 with 2|c2| >= c1 reach N0 > 0, which no real field does."""
+    d = theta1.d
+    c1 = [QuadNum(a, Fraction(b, 100), d) for a, b, _, _ in entries]
+    c2 = [QuadNum(a, Fraction(b, 100), d) for _, _, a, b in entries]
+    assume(all(u > 0 for u in c1))
+    n0 = cfrac._least_sandwich_index(theta1, c1, c2)
+    assert n0 == least_sandwich_index_by_powers(theta1, theta1.conjugate(), c1, c2)
+
+
+def test_general_sandwich_index_is_positive_when_c2_dominates():
+    theta1 = make_quadnum(1, 1, 2)
+    c1 = [make_quadnum(1, 0, 2), make_quadnum(3, 1, 2)]
+    c2 = [make_quadnum(-1000, 0, 2), make_quadnum(1, 0, 2)]
+    n0 = cfrac._least_sandwich_index(theta1, c1, c2)
+    assert n0 == least_sandwich_index_by_powers(theta1, theta1.conjugate(), c1, c2) == 5
+
+
+@pytest.mark.parametrize("coeffs", [(0, 1, 2), (Fraction(6, 17), Fraction(-1, 17), 2), (1, 3, 11), (0, 1, 7)])
+def test_binet_data_takes_the_general_sandwich_path(monkeypatch, coeffs):
+    cf = expand(make_quadnum(*coeffs))
+    monkeypatch.setattr(cfrac, "_sandwich_at_zero", lambda *args: False)
+    _assert_same_binet(binet_data(cf), binet_data_by_products(cf))
+
+
+def _near_zero_pairs(d, n):
+    """(-p_i, q_i) over the convergents p_i/q_i of sqrt(d): p_i - q_i sqrt(d) tends to 0."""
+    cf = expand(make_quadnum(0, 1, d))
+    ps = [1, cf.a0]
+    for a in cf.quotients(n)[1:]:
+        ps.append(a * ps[-1] + ps[-2])
+    return [(-p, q) for p, q in zip(ps[1:], cf.denominators(n))]
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 981451]),
+    st.integers(min_value=1, max_value=3000),
+    st.integers(min_value=-3000, max_value=3000),
+)
+def test_sandwich_at_zero_is_two_c2_below_c1(d, x, y):
+    c1, c2 = QuadNum(x, y, d), QuadNum(-x, y, d)
+    assert cfrac._sandwich_at_zero([x], [y], d, isqrt(d << 128)) == (2 * abs(c2) < c1)
+
+
+def test_sandwich_at_zero_at_both_edges():
+    # sqrt(2) = 1.414...: 2|c2| < c1 iff X/3 < Y sqrt(2) < 3X
+    root = isqrt(2 << 128)
+    assert cfrac._sandwich_at_zero([4, 1], [1, 2], 2, root)
+    assert not cfrac._sandwich_at_zero([5], [1], 2, root)  # 3 sqrt(2) < 5
+    assert not cfrac._sandwich_at_zero([1], [3], 2, root)  # 3 sqrt(2) > 3
+
+
+@pytest.mark.parametrize("d", [2, 7, 61, 981451])
+def test_bracketed_sign_agrees_with_the_exact_sign(d):
+    root = isqrt(d << 128)
+    pairs = _near_zero_pairs(d, 120)
+    pairs += [(a * k, b * k) for a, b in pairs[-3:] for k in (-1, 3)]
+    pairs += [(5, 0), (-5, 0), (0, 0), (0, 3), (0, -3)]
+    for a, b in pairs:
+        assert cfrac._positive(a, b, d, root) == (_surd_sign(a, b, d) > 0), (a, b)

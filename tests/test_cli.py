@@ -3,12 +3,17 @@
 import json
 import subprocess
 import sys
+import time
+from decimal import Decimal
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import pytest
 
 from cfpow import cli, search
+from cfpow.cfrac import expand, period_matrix_trace
+from cfpow.quadfield import make_quadnum
 
 GOLDEN = ["--alpha", "1,1,2,5"]
 ROOT2 = ["--alpha", "0,1,1,2"]
@@ -405,4 +410,55 @@ def test_verify_rejects_what_is_not_a_solution(capsys, tmp_path, solution):
 def test_search_rejects_bad_threads_and_budget(capsys, flag):
     argv = ROOT2 + ["search", "--K", "2", "--N-max", "8", "--a-max", "3"] + flag
     rc, doc = run_doc(capsys, argv, "error.schema.json")
+    assert rc == 3 and doc["error"] == "invalid-input"
+
+
+def _int(text):
+    return int(Decimal(text))  # int(str) is capped at 4300 digits
+
+
+def test_cf_binet_prints_past_the_int_str_digit_cap(capsys):
+    # (3 + 2 sqrt(981451))/5 has period 4424 and a 4512-digit disc
+    rc, doc = run_doc(capsys, ["--alpha", "3,2,5,981451", "cf", "binet"], "cf_binet.schema.json")
+    assert rc == 0
+    t = period_matrix_trace(expand(make_quadnum(Fraction(3, 5), Fraction(2, 5), 981451)))
+    assert doc["s"] == 4424 and len(doc["disc"]) > 4300
+    assert _int(doc["t_alpha"]) == t and _int(doc["disc"]) == t * t - 4
+
+
+def test_cf_convergents_print_past_the_int_str_digit_cap(capsys):
+    # sqrt(1000001) = [1000; 2000, 2000, ...]: q_1400 has over 4600 digits
+    argv = ["--alpha", "0,1,1,1000001", "cf", "convergents", "--n", "1400"]
+    rc, doc = run_doc(capsys, argv, "cf_convergents.schema.json")
+    assert rc == 0
+    assert len(doc["q"][-1]) > 4300
+    assert [_int(q) for q in doc["q"]] == expand(make_quadnum(0, 1, 1000001)).denominators(1400)
+
+
+@pytest.mark.parametrize(
+    "solution",
+    [
+        '{"y":2.9,"a":2,"N":[1,1],"value":"4"}',
+        '{"y":"2","a":2.7,"N":[1,1],"value":"4"}',
+        '{"y":true,"a":2,"N":[1,1],"value":"4"}',
+        '{"y":"2","a":"2.0","N":[1,1],"value":"4"}',
+        '{"y":"2","a":2,"N":[1,1],"value":4.0}',
+        '{"y":"2","a":2,"N":[1,1],"value":"0x4"}',
+        '{"y":"3","a":1000000000,"N":[1,1],"value":"4"}',
+    ],
+    ids=["float-y", "float-a", "bool-y", "decimal-string-a", "float-value", "hex-string-value", "huge-exponent"],
+)
+def test_verify_rejects_fields_that_are_not_integers(capsys, tmp_path, solution):
+    """Checked against a K = 2 report that {"y":2,"a":2,"N":[1,1],"value":4} satisfies;
+    a huge exponent is refused before y**a is computed."""
+    rc, report = run(capsys, ROOT2 + ["bounds", "y", "--K", "2", "--y", "2"])
+    assert rc == 0
+    sols_path = tmp_path / "solutions.jsonl"
+    sols_path.write_text(solution + "\n", encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    report_path.write_text(report, encoding="utf-8")
+    argv = ROOT2 + ["verify", "--solutions", str(sols_path), "--report", str(report_path)]
+    start = time.perf_counter()
+    rc, doc = run_doc(capsys, argv, "error.schema.json")
+    assert time.perf_counter() - start < 1.0
     assert rc == 3 and doc["error"] == "invalid-input"

@@ -7,7 +7,9 @@ transfer, walk) that moves one byte of a report fails here.  Each
 ``REPORT_PINS`` entry hashes the newline-joined canonical ``to_json()``
 documents, ledger included, of one pipeline over one field at one
 precision, for every K in the grid and every (y), (l) or (l, b)
-parameter; a refused run contributes its error code instead.
+parameter; a refused run contributes its error code instead.  The two
+sqrt(981451) ``cf binet`` pins (period 2198) were taken from the
+product-based construction of c1, c2, c3, c4 and N0, before the closed form.
 """
 
 import hashlib
@@ -67,6 +69,8 @@ BINET_PINS = {
     ("6,-1,17,2", "512"): "6e114e13beb002ed672dd5b3695d4ed3d94a537e5c51e0eb814c4791ad066496",
     ("0,1,1,7", "128"): "8ff808be2d3efa72bf5a845a765fa87599638451b3dd9570a17d3c6134bc5caf",
     ("0,1,1,7", "512"): "9d8e4ab34b0db0f02da9ef1c6780e8e03b03a862dd936775772393fbf6267930",
+    ("0,1,1,981451", "128"): "229801a98f44f7645f2db5b65e298ec8b61f376e908e57d0a1f404eb80dcd33a",
+    ("0,1,1,981451", "512"): "fd3b737f43b851a5f645bd2a4af0e532727bef9ba0a0f10e4b25a68097066371",
 }
 
 

@@ -1,6 +1,7 @@
 """Exact arithmetic in real quadratic fields and dyadic interval enclosures."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -379,3 +380,18 @@ def test_interval_to_json():
 def test_quadnum_json_round_trip():
     x = make_quadnum(Fraction(-2, 3), Fraction(5, 7), 8)
     assert QuadNum.from_json(x.to_json()) == x
+
+
+def test_quadnum_json_round_trip_past_the_int_str_digit_cap():
+    big = 7**6000  # over 5000 decimal digits
+    x = make_quadnum(Fraction(big, 3), Fraction(-1, big), 2)
+    doc = x.to_json()
+    assert len(doc["a_num"]) > 5000 and doc["b_den"] == format(Decimal(big), "f")
+    assert QuadNum.from_json(doc) == x
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1.5", "1e3", " 7", "", None])
+def test_quadnum_from_json_rejects_what_is_not_an_integer(bad):
+    doc = dict(make_quadnum(1, 1, 2).to_json(), b_num=bad)
+    with pytest.raises(InputError):
+        QuadNum.from_json(doc)
